@@ -673,7 +673,7 @@ measurePriorityScheduling(bool prioritized)
     return out;
 }
 
-/** One staged-vs-monolithic run: modeled throughput plus host time. */
+/** One inline-vs-overlapped run: modeled throughput plus host time. */
 struct StageOutcome
 {
     double modeledAlignsPerSec = 0; //!< cycle-domain, deterministic
@@ -687,13 +687,14 @@ struct StageOutcome
  * long pairs are the shape where the traceback epilogue matters: fill
  * is O(len x band) and vectorized across lanes while traceback is an
  * O(len) scalar pointer walk per pair, so the two phases are
- * comparable in host time. With @p staged the backend splits each
- * shard into fill and traceback stages over a depth-4 FIFO so
- * traceback of lane group i overlaps fill of group i+1 on the host;
- * without it the two phases serialize per group. Modeled cycles (and
- * therefore aligns_per_sec) are identical by construction — only host
- * wall-clock moves — so the modeled rate is safe for bench_diff's hard
- * gate while the wall-clock seconds stay ungated.
+ * comparable in host time. With @p staged the shard's traceback
+ * consumer runs on its own thread behind a depth-4 FIFO, so traceback
+ * of lane group i overlaps fill of group i+1 on the host; without it
+ * the consumer runs inline and the two phases serialize per group.
+ * Modeled cycles (and therefore aligns_per_sec) are identical by
+ * construction — only host wall-clock moves — so the modeled rate is
+ * safe for bench_diff's hard gate while the wall-clock seconds stay
+ * ungated.
  */
 StageOutcome
 measureStagePipeline(bool staged)
@@ -742,7 +743,7 @@ measureStagePipeline(bool staged)
  * single-pair ticket while a 512-pair bulk shard is mid-flight on the
  * only worker (staged execution + preemption on) until the urgent
  * ticket's completion callback fires. The bulk shard yields at its next
- * stage boundary instead of running to completion, so this bounds the
+ * job boundary instead of running to completion, so this bounds the
  * scheduling latency a latency-critical ticket sees behind bulk work.
  * Pure wall-clock — reported for trend-watching, never gated.
  */

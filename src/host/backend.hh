@@ -10,19 +10,19 @@
  * each job to a backend and aggregates per-backend accounting, so the
  * heterogeneous split stays visible in the epoch statistics.
  *
- * Four implementations:
+ * Three implementations:
  *
- *  - DeviceChannelBackend: one simulated device channel — the scalar
- *    cycle-level systolic engine plus the greedy NB-block arbiter
- *    (extracted from the old BatchPipeline::Channel). Per-job device
- *    cycles are the engine's analytic totals plus the configured host
- *    overhead; channel busy cycles are the arbiter makespan.
- *  - LaneChannelBackend: the same channel driven through the SIMD lane
- *    engine — jobs are sorted by (qlen, rlen) and grouped into lockstep
- *    lanes so mixed-length batches share a smaller padded iteration
- *    space. Results and per-job cycles are bit-identical to the scalar
- *    backend (the lane engine's per-lane guarantees); the arbiter runs
- *    in original shard order so channel accounting is unchanged too.
+ *  - DeviceChannelBackend: one simulated device channel, run as one
+ *    producer feeding one consumer (host/stage_flow.hh), the host copy
+ *    of the kernel's fill -> traceback split. The producer replays
+ *    cache hits and fills either lockstep SIMD lane groups (lane width
+ *    over 1: jobs sorted by (qlen, rlen) so each group shares a similar
+ *    padded iteration space) or one pair at a time on the scalar
+ *    engine; the consumer runs traceback, cache insert and writeback.
+ *    Per-job device cycles are the engine's analytic totals plus the
+ *    configured host overhead, identical at every lane width and
+ *    consumer placement; channel busy cycles are the makespan of the
+ *    greedy NB-block arbiter, run in shard order.
  *  - CpuBaselineBackend: the classic full-matrix CPU implementation
  *    (the golden model the engine is verified against) executed across
  *    host threads with cpu_runner's wall-clock methodology; cycles are
@@ -35,12 +35,12 @@
  *    per-batch launch overhead, for the kernels the paper benchmarks
  *    on a GPU (Fig. 6B).
  *
- * Every backend also answers estimate(job) — a cost-model service-time
+ * Every backend also answers estimate(job): a cost-model service-time
  * estimate (device channels from the analytic cycle formulas in
  * engine_common.hh, the CPU backend from an EWMA of measured cells/sec,
- * the GPU model from its GCUPS) — and carries a live queued-work signal
- * the StreamPipeline's cost-model dispatch policy reads to pick the
- * backend with the lowest estimated completion time.
+ * the GPU model from its GCUPS) that the StreamPipeline's cost-model
+ * dispatch policy combines with its per-slot queued-work signal to
+ * pick the backend with the lowest estimated completion time.
  */
 
 #ifndef DPHLS_HOST_BACKEND_HH
@@ -52,8 +52,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/cpu_runner.hh"
@@ -131,19 +131,35 @@ struct CostEstimate
 };
 
 /**
+ * Greedy block arbiter: the jobs that wrote back (done[k]) land, in
+ * shard order, on the earliest-free of @p blocks (zeroed by the
+ * caller); adds their cycles and the block makespan (busy cycles) to
+ * @p acct.
+ */
+inline void
+arbitrateBlocks(std::vector<uint64_t> &blocks,
+                const std::vector<int> &indices,
+                const std::vector<uint8_t> &done, const uint64_t *cycles,
+                ChannelStats &acct)
+{
+    for (size_t k = 0; k < indices.size(); k++) {
+        if (!done[k])
+            continue;
+        const uint64_t c = cycles[static_cast<size_t>(indices[k])];
+        *std::min_element(blocks.begin(), blocks.end()) += c;
+        acct.totalCycles += c;
+        acct.alignments++;
+    }
+    acct.busyCycles += *std::max_element(blocks.begin(), blocks.end());
+}
+
+/**
  * A backend that can align a set of jobs. run() fills the per-job
  * output slots (indexed by job index, so submission-order collation is
- * free) and folds its arbiter accounting into @p acct. Implementations
+ * free), marks in its StageRunControl which jobs wrote back, and folds
+ * its arbiter accounting for those jobs into @p acct. Implementations
  * are stateful (engines, scratch buffers); the pipeline serializes
- * run() calls per backend instance.
- *
- * For cost-model dispatch the base class additionally tracks queued
- * estimated work: callers pair noteEnqueued() with noteCompleted() so
- * queuedSeconds() is a live backlog signal. (The StreamPipeline now
- * keeps its routing backlog in its own dispatch slots rather than in
- * backend state, so releasing a cancelled shard's backlog never has to
- * reach into a backend whose pipeline may be mid-destruction; the
- * signal stays available here for hosts driving backends directly.)
+ * run() calls per device channel.
  */
 template <core::KernelSpec K>
 class AlignBackend
@@ -175,76 +191,32 @@ class AlignBackend
 
     /**
      * Align jobs[indices[k]] for every k; write each job's result and
-     * cycle count into results[idx] / cycles[idx]; add the run's
-     * arbiter accounting to @p acct.
+     * cycle count into results[idx] / cycles[idx]; set ctl.done[k] for
+     * every job that wrote back; add those jobs' arbiter accounting to
+     * @p acct. A backend with job boundaries polls ctl.shouldYield()
+     * at each of them and may return early, leaving the rest not done.
      */
     virtual void run(const std::vector<Job> &jobs,
                      const std::vector<int> &indices, Result *results,
-                     uint64_t *cycles, ChannelStats &acct) = 0;
-
-    /**
-     * True when runStaged() actually decouples fill from traceback
-     * with preemption points between stages; false means runStaged()
-     * degrades to a monolithic run() that never yields.
-     */
-    virtual bool supportsStagedRun() const { return false; }
-
-    /**
-     * Stage-pipelined variant of run(): the backend executes the shard
-     * as fill (producer) and traceback/writeback (consumer) stages over
-     * a bounded FIFO, polling @p ctl at stage boundaries. On return,
-     * ctl.done marks which jobs wrote back; the dispatcher re-queues or
-     * cancel-accounts the rest. The default is the monolithic run() with
-     * every job marked done — correct for backends with no separable
-     * stages.
-     */
-    virtual void
-    runStaged(const std::vector<Job> &jobs,
-              const std::vector<int> &indices, Result *results,
-              uint64_t *cycles, ChannelStats &acct, StageRunControl &ctl)
-    {
-        run(jobs, indices, results, cycles, acct);
-        std::fill(ctl.done.begin(), ctl.done.end(), uint8_t{1});
-    }
-
-    /** Estimated seconds of routed-but-unfinished work (queue depth). */
-    double
-    queuedSeconds() const
-    {
-        return static_cast<double>(
-                   _queuedMicros.load(std::memory_order_relaxed)) *
-               1e-6;
-    }
-
-    /** Router-side: account @p seconds of estimated work as queued. */
-    void
-    noteEnqueued(double seconds)
-    {
-        _queuedMicros.fetch_add(toMicros(seconds),
-                                std::memory_order_relaxed);
-    }
-
-    /** Executor-side: retire @p seconds of previously queued work. */
-    void
-    noteCompleted(double seconds)
-    {
-        _queuedMicros.fetch_sub(toMicros(seconds),
-                                std::memory_order_relaxed);
-    }
-
-  private:
-    static int64_t
-    toMicros(double seconds)
-    {
-        return static_cast<int64_t>(std::llround(seconds * 1e6));
-    }
-
-    std::atomic<int64_t> _queuedMicros{0};
+                     uint64_t *cycles, ChannelStats &acct,
+                     StageRunControl &ctl) = 0;
 };
 
 /**
- * One simulated device channel: scalar cycle-level engine, shared
- * result cache, and the greedy NB-block arbiter.
+ * One simulated device channel: the systolic engine (scalar per pair,
+ * or SIMD lane groups at lane width over 1), the shared result cache,
+ * and the greedy NB-block arbiter.
+ *
+ * Each shard runs as one producer feeding one consumer (runStages).
+ * The producer walks the shard (sorted by (qlen, rlen, index) when
+ * lane groups form), replays cache hits, fills full lane groups with
+ * fillLanes() and single pairs with fillStage(); a single long enough
+ * for the intra-pair DiagSimd path (or one on the wavefront path)
+ * finishes in the producer. The consumer runs traceback, cache insert
+ * and writeback, then hands the traceback bank back for the next fill.
+ * Results and per-job cycles are the engine's, bit for bit, at every
+ * lane width and consumer placement; the arbiter runs in shard order,
+ * so channel accounting is grouping-independent too.
  */
 template <core::KernelSpec K>
 class DeviceChannelBackend : public AlignBackend<K>
@@ -257,11 +229,20 @@ class DeviceChannelBackend : public AlignBackend<K>
 
     DeviceChannelBackend(const sim::EngineConfig &ecfg, const Params &params,
                          int nb, uint64_t host_overhead_cycles,
-                         double fmax_mhz, ShardedResultCache<Result> *cache)
-        : _engine(ecfg, params), _params(params),
+                         double fmax_mhz, ShardedResultCache<Result> *cache,
+                         int lane_width = 1, bool sort_by_length = true,
+                         bool intra_pair_simd = false,
+                         int intra_pair_min_len = 1024)
+        : _engine(ecfg, params), _lanes(ecfg, params),
+          _diagEngine(diagConfig(ecfg), params), _params(params),
           _cache(cache), _cfgSalt(engineConfigSalt(ecfg)),
           _hostOverhead(host_overhead_cycles), _fmaxMhz(fmax_mhz),
-          _blockFree(static_cast<size_t>(std::max(1, nb)), 0)
+          _blockFree(static_cast<size_t>(std::max(1, nb)), 0),
+          _width(std::clamp(lane_width, 1, sim::LaneAligner<K>::maxLanes)),
+          _sortByLength(sort_by_length),
+          // Intra-pair SIMD serves lane groups of one, so it needs lanes.
+          _intraPairSimd(intra_pair_simd && _width > 1),
+          _intraPairMinLen(intra_pair_min_len)
     {}
 
     const char *name() const override { return "device"; }
@@ -308,497 +289,181 @@ class DeviceChannelBackend : public AlignBackend<K>
 
     void
     run(const std::vector<Job> &jobs, const std::vector<int> &indices,
-        Result *results, uint64_t *cycles, ChannelStats &acct) override
-    {
-        computeResults(jobs, indices, results, cycles);
-        arbitrate(indices, cycles, acct);
-    }
-
-    bool
-    supportsStagedRun() const override
-    {
-        return _engine.supportsStagedFill();
-    }
-
-    /**
-     * Staged shard execution: this worker fills job i+1 while a
-     * consumer thread runs the traceback + writeback of job i off the
-     * bounded FIFO. Cache hits travel through the FIFO too, so every
-     * writeback happens on the consumer in submission order. Results
-     * and cycles are bit-identical to run(): the fill/traceback split
-     * reproduces the exact per-cell dataflow and the analytic cycle
-     * accounting is order-independent.
-     */
-    void
-    runStaged(const std::vector<Job> &jobs,
-              const std::vector<int> &indices, Result *results,
-              uint64_t *cycles, ChannelStats &acct,
-              StageRunControl &ctl) override
-    {
-        if (!_engine.supportsStagedFill()) {
-            Base::runStaged(jobs, indices, results, cycles, acct, ctl);
-            return;
-        }
-
-        struct Item
-        {
-            size_t k = 0; //!< position in indices
-            bool fromCache = false;
-            Result res;           //!< cache-hit payload
-            uint64_t resCycles = 0;
-            sim::FastFillState<K> fill;
-            PairHash key;
-        };
-
-        BoundedFifo<Item> fifo(static_cast<size_t>(ctl.fifoDepth));
-        const sim::CycleModelOptions cycle_model =
-            _engine.config().cycles;
-        StageWorker consumer([&] {
-            while (auto item = fifo.pop()) {
-                const size_t idx = static_cast<size_t>(
-                    indices[item->k]);
-                if (item->fromCache) {
-                    results[idx] = std::move(item->res);
-                    cycles[idx] = item->resCycles;
-                } else {
-                    Result res = _engine.tracebackStage(item->fill);
-                    const uint64_t engine_cycles =
-                        sim::totalCycles(item->fill.stats, cycle_model);
-                    if (cacheEnabled())
-                        _cache->insert(item->key, res, engine_cycles);
-                    cycles[idx] = engine_cycles + _hostOverhead;
-                    results[idx] = std::move(res);
-                    _engine.recycleStage(std::move(item->fill));
-                }
-                ctl.done[item->k] = 1;
-            }
-        });
-
-        for (size_t k = 0; k < indices.size(); k++) {
-            if (ctl.shouldYield())
-                break;
-            const auto &job =
-                jobs[static_cast<size_t>(indices[k])];
-            Item item;
-            item.k = k;
-            if (cacheEnabled()) {
-                item.key = pairHash(job.query, job.reference, _params,
-                                    _cfgSalt);
-                if (auto hit = _cache->lookup(item.key)) {
-                    item.fromCache = true;
-                    item.res = std::move(hit->result);
-                    item.resCycles = hit->cycles + _hostOverhead;
-                    fifo.push(std::move(item));
-                    continue;
-                }
-            }
-            item.fill = _engine.fillStage(job.query, job.reference);
-            fifo.push(std::move(item));
-        }
-        fifo.close();
-        consumer.join();
-
-        // Arbitrate the jobs that wrote back, in indices order — the
-        // same set and order as run() when nothing yielded; a partial
-        // run's makespan sums with its resumption's (accounting split
-        // across resumptions).
-        std::vector<int> completed;
-        completed.reserve(indices.size());
-        for (size_t k = 0; k < indices.size(); k++) {
-            if (ctl.done[k])
-                completed.push_back(indices[k]);
-        }
-        arbitrate(completed, cycles, acct);
-    }
-
-  protected:
-    /** Functional results and per-job device cycles (scalar engine). */
-    virtual void
-    computeResults(const std::vector<Job> &jobs,
-                   const std::vector<int> &indices, Result *results,
-                   uint64_t *cycles)
-    {
-        for (const int idx : indices) {
-            const auto &job = jobs[static_cast<size_t>(idx)];
-            PairHash key;
-            if (cacheEnabled()) {
-                key = pairHash(job.query, job.reference, _params,
-                               _cfgSalt);
-                if (lookupCached(key, idx, results, cycles))
-                    continue;
-            }
-            Result res = _engine.align(job.query, job.reference);
-            finishJob(key, idx, std::move(res),
-                      _engine.lastTotalCycles(), results, cycles);
-        }
-    }
-
-    /**
-     * Greedy NB-block arbiter over the per-job cycles, in @p indices
-     * order: each job lands on the earliest-free block; busy cycles are
-     * the block makespan. Device cycles are independent of block
-     * placement, so this runs as a separate phase after the compute.
-     */
-    void
-    arbitrate(const std::vector<int> &indices, const uint64_t *cycles,
-              ChannelStats &acct)
-    {
-        std::fill(_blockFree.begin(), _blockFree.end(), 0);
-        for (const int idx : indices) {
-            const uint64_t c = cycles[static_cast<size_t>(idx)];
-            auto it =
-                std::min_element(_blockFree.begin(), _blockFree.end());
-            *it += c;
-            acct.totalCycles += c;
-            acct.alignments++;
-        }
-        acct.busyCycles +=
-            *std::max_element(_blockFree.begin(), _blockFree.end());
-    }
-
-    bool cacheEnabled() const { return _cache && _cache->enabled(); }
-
-    bool
-    lookupCached(const PairHash &key, int idx, Result *results,
-                 uint64_t *cycles)
-    {
-        auto hit = _cache->lookup(key);
-        if (!hit)
-            return false;
-        results[static_cast<size_t>(idx)] = std::move(hit->result);
-        cycles[static_cast<size_t>(idx)] = hit->cycles + _hostOverhead;
-        return true;
-    }
-
-    void
-    finishJob(const PairHash &key, int idx, Result res,
-              uint64_t engine_cycles, Result *results, uint64_t *cycles)
-    {
-        if (cacheEnabled())
-            _cache->insert(key, res, engine_cycles);
-        cycles[static_cast<size_t>(idx)] = engine_cycles + _hostOverhead;
-        results[static_cast<size_t>(idx)] = std::move(res);
-    }
-
-    sim::SystolicAligner<K> _engine;
-    Params _params;
-    ShardedResultCache<Result> *_cache;
-    uint64_t _cfgSalt;
-    uint64_t _hostOverhead;
-    double _fmaxMhz;
-    std::vector<uint64_t> _blockFree;
-};
-
-/**
- * A device channel whose compute phase runs the lockstep SIMD lane
- * engine with length-aware grouping: jobs are processed in (qlen, rlen)
- * order so each lane group shares a similar padded iteration space.
- * Cache lookups interleave with lane-group flushes, so a pair repeated
- * later in the same shard hits once its first instance's group has been
- * computed and inserted.
- */
-template <core::KernelSpec K>
-class LaneChannelBackend : public DeviceChannelBackend<K>
-{
-  public:
-    using Base = DeviceChannelBackend<K>;
-    using typename Base::Job;
-    using typename Base::Params;
-    using typename Base::Result;
-
-    LaneChannelBackend(const sim::EngineConfig &ecfg, const Params &params,
-                       int nb, uint64_t host_overhead_cycles,
-                       double fmax_mhz,
-                       ShardedResultCache<Result> *cache, int lane_width,
-                       bool sort_by_length, bool intra_pair_simd = false,
-                       int intra_pair_min_len = 1024)
-        : Base(ecfg, params, nb, host_overhead_cycles, fmax_mhz, cache),
-          _lanes(ecfg, params), _diagEngine(diagConfig(ecfg), params),
-          _width(std::clamp(lane_width, 1,
-                            sim::LaneAligner<K>::maxLanes)),
-          _sortByLength(sort_by_length), _intraPairSimd(intra_pair_simd),
-          _intraPairMinLen(intra_pair_min_len)
-    {}
-
-    /** Lane groups always fill/traceback-split (singles fall back). */
-    bool supportsStagedRun() const override { return true; }
-
-    /**
-     * Staged lane-channel shard: lane-group fills are the producer
-     * stage, per-lane traceback epilogues the consumer stage, and the
-     * boundaries between lane groups are the preemption/cancel points.
-     * Intra-pair (DiagSimd) and non-fast single jobs complete in the
-     * producer and travel through the FIFO as ready writebacks, so the
-     * consumer remains the only writer of results/cycles/done.
-     */
-    void
-    runStaged(const std::vector<Job> &jobs,
-              const std::vector<int> &indices, Result *results,
-              uint64_t *cycles, ChannelStats &acct,
-              StageRunControl &ctl) override
+        Result *results, uint64_t *cycles, ChannelStats &acct,
+        StageRunControl &ctl) override
     {
         using LaneFill = typename sim::LaneAligner<K>::LaneFillState;
         enum class Kind : uint8_t
         {
-            Ready,      //!< producer-finished result, writeback only
-            SingleFill, //!< one fast-path fill state
-            Group       //!< one lane group's fill states
+            Ready,  //!< result known (cache hit or producer-finished)
+            Single, //!< one fast-path fill state
+            Group   //!< one lane group's fill states
         };
         struct Item
         {
             Kind kind = Kind::Ready;
-            size_t k = 0; //!< Ready/SingleFill: position in indices
-            Result res;
-            uint64_t resCycles = 0;
+            size_t k = 0;        //!< Ready/Single: position in indices
+            PairHash key;        //!< Ready/Single: cache key
+            bool cached = false; //!< Ready: replayed, not computed
+            Result res;          //!< Ready: the result
+            uint64_t engineCycles = 0; //!< Ready: its engine cycles
             sim::FastFillState<K> fill;
-            PairHash key;
             std::vector<LaneFill> states;
             std::vector<size_t> ks; //!< Group: per-lane positions
             std::vector<PairHash> keys;
         };
 
-        const sim::CycleModelOptions cycle_model =
-            this->_engine.config().cycles;
-        BoundedFifo<Item> fifo(static_cast<size_t>(ctl.fifoDepth));
-        StageWorker consumer([&] {
-            while (auto item = fifo.pop()) {
-                if (item->kind == Kind::Ready) {
-                    const size_t idx =
-                        static_cast<size_t>(indices[item->k]);
-                    results[idx] = std::move(item->res);
-                    cycles[idx] = item->resCycles;
-                    ctl.done[item->k] = 1;
-                } else if (item->kind == Kind::SingleFill) {
-                    const size_t idx =
-                        static_cast<size_t>(indices[item->k]);
-                    Result res =
-                        this->_engine.tracebackStage(item->fill);
-                    const uint64_t ec = sim::totalCycles(
-                        item->fill.stats, cycle_model);
-                    if (this->cacheEnabled())
-                        this->_cache->insert(item->key, res, ec);
-                    cycles[idx] = ec + this->_hostOverhead;
-                    results[idx] = std::move(res);
-                    this->_engine.recycleStage(std::move(item->fill));
-                    ctl.done[item->k] = 1;
+        const bool use_cache = cacheEnabled();
+        const size_t n = indices.size();
+        ctl.done.assign(n, 0);
+        const auto jobAt = [&](size_t k) -> const Job & {
+            return jobs[static_cast<size_t>(indices[k])];
+        };
+
+        const auto produce = [&](auto &&emit) {
+            // Lane groups form in (qlen, rlen, index) order so lockstep
+            // lanes share a padded iteration space; results and cycles
+            // are grouping-independent, and the arbiter below runs in
+            // shard order, so nothing observable depends on the order.
+            std::vector<size_t> order;
+            if (_width > 1 && _sortByLength && n > 1) {
+                order.resize(n);
+                std::iota(order.begin(), order.end(), size_t{0});
+                std::sort(order.begin(), order.end(),
+                          [&](size_t a, size_t b) {
+                              const Job &ja = jobAt(a);
+                              const Job &jb = jobAt(b);
+                              return std::make_tuple(ja.query.length(),
+                                                     ja.reference.length(),
+                                                     indices[a]) <
+                                     std::make_tuple(jb.query.length(),
+                                                     jb.reference.length(),
+                                                     indices[b]);
+                          });
+            }
+
+            const auto single = [&](size_t k, const PairHash &key) {
+                const Job &job = jobAt(k);
+                Item item;
+                item.k = k;
+                item.key = key;
+                // A group of one has no sibling pairs to fill the SIMD
+                // lanes; a long enough pair vectorizes along its own
+                // anti-diagonals instead.
+                const bool intra = _intraPairSimd &&
+                    std::min(job.query.length(),
+                             job.reference.length()) >= _intraPairMinLen;
+                if (!intra && _engine.supportsStagedFill()) {
+                    item.kind = Kind::Single;
+                    item.fill = _engine.fillStage(job.query, job.reference);
                 } else {
-                    size_t m = 0;
-                    for (LaneFill &st : item->states) {
-                        for (int lane = 0; lane < st.count;
-                             lane++, m++) {
-                            sim::CycleStats stats;
-                            Result res =
-                                _lanes.laneTraceback(st, lane, stats);
-                            const uint64_t ec =
-                                sim::totalCycles(stats, cycle_model);
-                            const size_t kpos = item->ks[m];
-                            const size_t idx =
-                                static_cast<size_t>(indices[kpos]);
-                            if (this->cacheEnabled())
-                                this->_cache->insert(item->keys[m], res,
-                                                     ec);
-                            cycles[idx] = ec + this->_hostOverhead;
-                            results[idx] = std::move(res);
-                            ctl.done[kpos] = 1;
-                        }
-                        _lanes.recycleBank(std::move(st));
+                    auto &engine = intra ? _diagEngine : _engine;
+                    item.res = engine.align(job.query, job.reference);
+                    item.engineCycles = engine.lastTotalCycles();
+                }
+                emit(std::move(item));
+            };
+
+            std::vector<size_t> group;
+            std::vector<PairHash> group_keys;
+            if (_width > 1) {
+                group.reserve(static_cast<size_t>(_width));
+                group_keys.reserve(static_cast<size_t>(_width));
+            }
+            const auto flushGroup = [&] {
+                if (group.size() == 1) {
+                    single(group[0], group_keys[0]);
+                } else if (group.size() > 1) {
+                    using Lane = typename sim::LaneAligner<K>::LanePair;
+                    std::vector<Lane> lanes;
+                    lanes.reserve(group.size());
+                    for (const size_t k : group)
+                        lanes.push_back(
+                            Lane{&jobAt(k).query, &jobAt(k).reference});
+                    Item item;
+                    item.kind = Kind::Group;
+                    item.states = _lanes.fillLanes(lanes);
+                    item.ks = group;
+                    item.keys = group_keys;
+                    emit(std::move(item));
+                }
+                group.clear();
+                group_keys.clear();
+            };
+
+            for (size_t m = 0; m < n; m++) {
+                if (ctl.shouldYield()) {
+                    // The partly formed group never started: its jobs
+                    // stay not done and re-queue with the remainder.
+                    return;
+                }
+                const size_t k = order.empty() ? m : order[m];
+                const Job &job = jobAt(k);
+                PairHash key;
+                if (use_cache) {
+                    key = pairHash(job.query, job.reference, _params,
+                                   _cfgSalt);
+                    if (auto hit = _cache->lookup(key)) {
+                        Item item;
+                        item.k = k;
+                        item.cached = true;
+                        item.res = std::move(hit->result);
+                        item.engineCycles = hit->cycles;
+                        emit(std::move(item));
+                        continue;
                     }
                 }
-            }
-        });
-
-        // Producer: same length-aware grouping as computeResults().
-        std::vector<int> order(indices);
-        if (_sortByLength && order.size() > 1) {
-            std::sort(order.begin(), order.end(), [&](int a, int b) {
-                const auto &ja = jobs[static_cast<size_t>(a)];
-                const auto &jb = jobs[static_cast<size_t>(b)];
-                return std::make_tuple(ja.query.length(),
-                                       ja.reference.length(), a) <
-                       std::make_tuple(jb.query.length(),
-                                       jb.reference.length(), b);
-            });
-        }
-        std::unordered_map<int, size_t> pos;
-        pos.reserve(indices.size());
-        for (size_t k = 0; k < indices.size(); k++)
-            pos[indices[k]] = k;
-
-        std::vector<int> group;
-        group.reserve(static_cast<size_t>(_width));
-        std::vector<PairHash> group_keys;
-        group_keys.reserve(static_cast<size_t>(_width));
-        const auto flushGroup = [&]() {
-            if (group.empty())
-                return;
-            Item item;
-            if (group.size() > 1) {
-                using Lane = typename sim::LaneAligner<K>::LanePair;
-                std::vector<Lane> lanes(group.size());
-                for (size_t m = 0; m < group.size(); m++) {
-                    const auto &job =
-                        jobs[static_cast<size_t>(group[m])];
-                    lanes[m] = Lane{&job.query, &job.reference};
-                }
-                item.kind = Kind::Group;
-                item.states = _lanes.fillLanes(lanes);
-                item.ks.reserve(group.size());
-                for (const int g : group)
-                    item.ks.push_back(pos[g]);
-                item.keys = group_keys;
-            } else {
-                const auto &job =
-                    jobs[static_cast<size_t>(group[0])];
-                const bool intra = _intraPairSimd &&
-                    std::min(job.query.length(),
-                             job.reference.length()) >= _intraPairMinLen;
-                if (!intra && this->_engine.supportsStagedFill()) {
-                    item.kind = Kind::SingleFill;
-                    item.k = pos[group[0]];
-                    item.key = group_keys[0];
-                    item.fill = this->_engine.fillStage(job.query,
-                                                        job.reference);
-                } else {
-                    auto &engine = intra ? _diagEngine : this->_engine;
-                    Result res =
-                        engine.align(job.query, job.reference);
-                    const uint64_t ec = engine.lastTotalCycles();
-                    if (this->cacheEnabled())
-                        this->_cache->insert(group_keys[0], res, ec);
-                    item.kind = Kind::Ready;
-                    item.k = pos[group[0]];
-                    item.resCycles = ec + this->_hostOverhead;
-                    item.res = std::move(res);
-                }
-            }
-            fifo.push(std::move(item));
-            group.clear();
-            group_keys.clear();
-        };
-
-        bool yielded = false;
-        for (const int idx : order) {
-            if (ctl.shouldYield()) {
-                yielded = true;
-                break;
-            }
-            const auto &job = jobs[static_cast<size_t>(idx)];
-            PairHash key;
-            if (this->cacheEnabled()) {
-                key = pairHash(job.query, job.reference, this->_params,
-                               this->_cfgSalt);
-                if (auto hit = this->_cache->lookup(key)) {
-                    Item item;
-                    item.kind = Kind::Ready;
-                    item.k = pos[idx];
-                    item.res = std::move(hit->result);
-                    item.resCycles = hit->cycles + this->_hostOverhead;
-                    fifo.push(std::move(item));
+                if (_width == 1) {
+                    single(k, key);
                     continue;
                 }
+                group.push_back(k);
+                group_keys.push_back(key);
+                if (group.size() >= static_cast<size_t>(_width))
+                    flushGroup();
             }
-            group.push_back(idx);
-            group_keys.push_back(key);
-            if (static_cast<int>(group.size()) >= _width)
-                flushGroup();
-        }
-        // On yield, the partially-formed group never started: its jobs
-        // stay not-done and re-queue with the remainder.
-        if (!yielded)
             flushGroup();
-        fifo.close();
-        consumer.join();
-
-        std::vector<int> completed;
-        completed.reserve(indices.size());
-        for (size_t k = 0; k < indices.size(); k++) {
-            if (ctl.done[k])
-                completed.push_back(indices[k]);
-        }
-        this->arbitrate(completed, cycles, acct);
-    }
-
-  protected:
-    void
-    computeResults(const std::vector<Job> &jobs,
-                   const std::vector<int> &indices, Result *results,
-                   uint64_t *cycles) override
-    {
-        // Length-aware grouping (sorting only reorders the compute; the
-        // arbiter still runs in shard order, and per-lane results and
-        // analytic cycle stats are grouping-independent, so everything
-        // observable stays bit-identical).
-        std::vector<int> order(indices);
-        if (_sortByLength && order.size() > 1) {
-            std::sort(order.begin(), order.end(), [&](int a, int b) {
-                const auto &ja = jobs[static_cast<size_t>(a)];
-                const auto &jb = jobs[static_cast<size_t>(b)];
-                return std::make_tuple(ja.query.length(),
-                                       ja.reference.length(), a) <
-                       std::make_tuple(jb.query.length(),
-                                       jb.reference.length(), b);
-            });
-        }
-
-        std::vector<int> group; // job indices awaiting the engine
-        group.reserve(static_cast<size_t>(_width));
-        std::vector<PairHash> group_keys;
-        group_keys.reserve(static_cast<size_t>(_width));
-
-        const auto flushGroup = [&]() {
-            if (group.empty())
-                return;
-            if (group.size() > 1) {
-                using Lane = typename sim::LaneAligner<K>::LanePair;
-                std::vector<Lane> lanes(group.size());
-                for (size_t m = 0; m < group.size(); m++) {
-                    const auto &job =
-                        jobs[static_cast<size_t>(group[m])];
-                    lanes[m] = Lane{&job.query, &job.reference};
-                }
-                auto lane_results = _lanes.alignLanes(lanes);
-                for (size_t m = 0; m < group.size(); m++) {
-                    this->finishJob(
-                        group_keys[m], group[m],
-                        std::move(lane_results[m]),
-                        _lanes.laneTotalCycles(static_cast<int>(m)),
-                        results, cycles);
-                }
-            } else {
-                const auto &job =
-                    jobs[static_cast<size_t>(group[0])];
-                // A group of one means no sibling pairs fill the SIMD
-                // lanes; a long enough pair instead vectorizes along
-                // its own anti-diagonals (results and cycle stats are
-                // bit-identical across paths, so routing is free).
-                const bool intra = _intraPairSimd &&
-                    std::min(job.query.length(),
-                             job.reference.length()) >= _intraPairMinLen;
-                auto &engine = intra ? _diagEngine : this->_engine;
-                Result res = engine.align(job.query, job.reference);
-                this->finishJob(group_keys[0], group[0], std::move(res),
-                                engine.lastTotalCycles(), results,
-                                cycles);
-            }
-            group.clear();
-            group_keys.clear();
         };
 
-        for (const int idx : order) {
-            const auto &job = jobs[static_cast<size_t>(idx)];
-            PairHash key;
-            if (this->cacheEnabled()) {
-                key = pairHash(job.query, job.reference, this->_params,
-                               this->_cfgSalt);
-                if (this->lookupCached(key, idx, results, cycles))
-                    continue;
+        const sim::CycleModelOptions &cycle_model = _engine.config().cycles;
+        const auto writeback = [&](size_t k, const PairHash *key,
+                                   Result &&res, uint64_t engine_cycles) {
+            if (key != nullptr && use_cache)
+                _cache->insert(*key, res, engine_cycles);
+            const size_t idx = static_cast<size_t>(indices[k]);
+            cycles[idx] = engine_cycles + _hostOverhead;
+            results[idx] = std::move(res);
+            ctl.done[k] = 1;
+        };
+        const auto consume = [&](Item &item) {
+            if (item.kind == Kind::Ready) {
+                writeback(item.k, item.cached ? nullptr : &item.key,
+                          std::move(item.res), item.engineCycles);
+            } else if (item.kind == Kind::Single) {
+                Result res = _engine.tracebackStage(item.fill);
+                writeback(item.k, &item.key, std::move(res),
+                          sim::totalCycles(item.fill.stats, cycle_model));
+                _engine.recycleStage(std::move(item.fill));
+            } else {
+                size_t m = 0;
+                for (LaneFill &st : item.states) {
+                    for (int lane = 0; lane < st.count; lane++, m++) {
+                        sim::CycleStats stats;
+                        Result res = _lanes.laneTraceback(st, lane, stats);
+                        writeback(item.ks[m], &item.keys[m], std::move(res),
+                                  sim::totalCycles(stats, cycle_model));
+                    }
+                    _lanes.recycleBank(std::move(st));
+                }
             }
-            group.push_back(idx);
-            group_keys.push_back(key);
-            if (static_cast<int>(group.size()) >= _width)
-                flushGroup();
-        }
-        flushGroup();
+        };
+
+        runStages<Item>(ctl, produce, consume);
+        // Device cycles are independent of block placement, so the
+        // arbiter runs as a separate phase after the compute; a
+        // preempted shard's makespan sums with its resumption's.
+        std::fill(_blockFree.begin(), _blockFree.end(), 0);
+        arbitrateBlocks(_blockFree, indices, ctl.done, cycles, acct);
     }
 
   private:
@@ -810,8 +475,17 @@ class LaneChannelBackend : public DeviceChannelBackend<K>
         return ecfg;
     }
 
+    bool cacheEnabled() const { return _cache && _cache->enabled(); }
+
+    sim::SystolicAligner<K> _engine;
     sim::LaneAligner<K> _lanes;
     sim::SystolicAligner<K> _diagEngine;
+    Params _params;
+    ShardedResultCache<Result> *_cache;
+    uint64_t _cfgSalt;
+    uint64_t _hostOverhead;
+    double _fmaxMhz;
+    std::vector<uint64_t> _blockFree;
     int _width;
     bool _sortByLength;
     bool _intraPairSimd;
@@ -909,10 +583,13 @@ class CpuBaselineBackend : public AlignBackend<K>
         return {cells / (rate * _threads), true};
     }
 
+    /** One parallel pass with no job boundaries: every job runs. */
     void
     run(const std::vector<Job> &jobs, const std::vector<int> &indices,
-        Result *results, uint64_t *cycles, ChannelStats &acct) override
+        Result *results, uint64_t *cycles, ChannelStats &acct,
+        StageRunControl &ctl) override
     {
+        ctl.done.assign(indices.size(), 1);
         const int n = static_cast<int>(indices.size());
         parallelFor(n, std::min(_threads, std::max(1, n)), [&](int k) {
             const int idx = indices[static_cast<size_t>(k)];
@@ -945,15 +622,7 @@ class CpuBaselineBackend : public AlignBackend<K>
         // state — MatrixAligner::align is const).
         std::vector<uint64_t> slot_free(
             static_cast<size_t>(_threads), 0);
-        for (const int idx : indices) {
-            const uint64_t c = cycles[static_cast<size_t>(idx)];
-            auto it = std::min_element(slot_free.begin(), slot_free.end());
-            *it += c;
-            acct.totalCycles += c;
-            acct.alignments++;
-        }
-        acct.busyCycles +=
-            *std::max_element(slot_free.begin(), slot_free.end());
+        arbitrateBlocks(slot_free, indices, ctl.done, cycles, acct);
     }
 
   private:
@@ -1043,10 +712,13 @@ class GpuModelBackend : public AlignBackend<K>
         return baseline::gpuModelLaunchOverheadSec();
     }
 
+    /** One batched launch with no job boundaries: every job runs. */
     void
     run(const std::vector<Job> &jobs, const std::vector<int> &indices,
-        Result *results, uint64_t *cycles, ChannelStats &acct) override
+        Result *results, uint64_t *cycles, ChannelStats &acct,
+        StageRunControl &ctl) override
     {
+        ctl.done.assign(indices.size(), 1);
         // Functional pass on host threads (the model has no GPU to run
         // on); accounting below is purely analytic.
         const int n = static_cast<int>(indices.size());

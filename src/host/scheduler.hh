@@ -41,11 +41,11 @@ namespace dphls::host {
 /**
  * Cooperative preemption flag for an in-flight shard.
  *
- * The dispatcher registers one token per running staged shard; a
+ * The dispatcher registers one token per running device shard; a
  * higher-priority enqueue request()s it, and the shard's producer loop
- * polls requested() at stage / lane-group boundaries, yielding the slot
+ * polls requested() at job / lane-group boundaries, yielding the slot
  * with the remainder re-queued. Purely advisory: a backend that never
- * polls simply runs to completion (the monolithic behavior).
+ * polls (the CPU/GPU baselines) simply runs to completion.
  */
 class PreemptToken
 {
@@ -63,10 +63,10 @@ class PreemptToken
 };
 
 /**
- * The consumer half of a staged shard: one dedicated thread draining
- * the inter-stage FIFO. Joined on destruction, so a backend can hold it
- * on the stack next to the FIFO it drains — close the FIFO, then let
- * scope end.
+ * The overlapped consumer of a shard (runStages in host/stage_flow.hh):
+ * one dedicated thread draining the inter-stage FIFO. Joined on
+ * destruction, so it can live on the stack next to the FIFO it drains —
+ * close the FIFO, then let scope end.
  */
 class StageWorker
 {

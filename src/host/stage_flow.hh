@@ -1,22 +1,30 @@
 /**
  * @file
- * Inter-stage plumbing of stage-pipelined shard execution.
+ * The shard executor's stage plumbing: one producer feeding one
+ * consumer.
  *
- * DP-HLS's device throughput comes from deeply pipelined dataflow
- * between DP stages; the host analog here decouples a shard into
- * producer (encode + band/fill) and consumer (traceback + writeback)
- * stages connected by a bounded SPSC FIFO, so the traceback of job i
- * overlaps the fill of job i+1 on the same backend slot. The FIFO bound
- * is the stage decoupling depth: capacity 1 degenerates to lockstep
- * hand-off (the differential tests' degenerate mode), larger capacities
- * let a fast fill run ahead of a slow traceback.
+ * DP-HLS builds every kernel as a fill stage whose traceback pointers
+ * feed a traceback stage. The host runs each device shard the same
+ * way: a producer (cache replay + fill) emits work items, and a
+ * consumer (traceback + cache insert + writeback) retires them.
+ * runStages() is the only place that decides where the consumer runs:
  *
- * Stage boundaries double as cooperative scheduling points: between
- * jobs (and lane groups) the producer polls the shard's PreemptToken
- * and the owning ticket's cancellation flag through StageRunControl,
- * so a higher-priority ticket can take the slot mid-shard and a
- * cancelled ticket drops its not-yet-started stages instead of running
- * the whole shard to completion.
+ *  - inline on the shard's worker (the default): every item is retired
+ *    before the producer continues, so the shard runs in exactly the
+ *    order one sequential loop would;
+ *  - on its own StageWorker thread behind a bounded SPSC FIFO
+ *    (StageRunControl::overlap, BatchConfig::stagePipeline), so the
+ *    traceback of job i overlaps the fill of job i+1. The FIFO bound
+ *    is the decoupling depth: capacity 1 degenerates to a lockstep
+ *    hand-off, larger capacities let a fast fill run ahead of a slow
+ *    traceback.
+ *
+ * Either way the producer's job and lane-group boundaries are
+ * cooperative scheduling points: it polls the shard's PreemptToken and
+ * the owning ticket's cancellation flag through StageRunControl, so a
+ * higher-priority ticket can take the slot mid-shard and a cancelled
+ * ticket drops its not-yet-started jobs instead of running the whole
+ * shard to completion.
  */
 
 #ifndef DPHLS_HOST_STAGE_FLOW_HH
@@ -108,10 +116,10 @@ class BoundedFifo
 };
 
 /**
- * Per-staged-run control block handed from the dispatcher into
- * AlignBackend::runStaged(). Inputs tell the backend when to yield;
- * outputs tell the dispatcher which jobs actually wrote back so it can
- * re-queue or cancel-account the remainder.
+ * Per-shard control block handed from the dispatcher into
+ * AlignBackend::run(). Inputs tell the backend when to yield and where
+ * its consumer runs; outputs tell the dispatcher which jobs actually
+ * wrote back so it can re-queue or cancel-account the remainder.
  */
 struct StageRunControl
 {
@@ -119,27 +127,26 @@ struct StageRunControl
     const PreemptToken *preempt = nullptr;
     /** Owning ticket's cancellation flag; null = not cancellable. */
     const std::atomic<bool> *cancelled = nullptr;
-    /** Capacity of the fill -> traceback FIFO (>= 1). */
+    /** Run the consumer on its own thread (false = inline). */
+    bool overlap = false;
+    /** Capacity of the producer -> consumer FIFO (>= 1) when overlapped. */
     int fifoDepth = 4;
 
     /**
      * Out: done[k] == 1 once jobs[indices[k]]'s writeback completed.
-     * Sized/zeroed by the dispatcher before the call. Not an indices
-     * prefix: grouping backends may finish out of submission order.
+     * Sized and zeroed by run(). Not an indices prefix: grouping
+     * backends may finish out of submission order.
      */
     std::vector<uint8_t> done;
     /** Out: the producer stopped at a preemption point. */
     bool preempted = false;
-    /** Out: the producer stopped because the ticket was cancelled. */
-    bool sawCancel = false;
 
-    /** True when the producer must stop issuing new fill stages. */
+    /** True when the producer must stop issuing new work. */
     bool
     shouldYield()
     {
         if (cancelled != nullptr &&
             cancelled->load(std::memory_order_acquire)) {
-            sawCancel = true;
             return true;
         }
         if (preempt != nullptr && preempt->requested()) {
@@ -149,6 +156,38 @@ struct StageRunControl
         return false;
     }
 };
+
+/**
+ * Run one shard as @p produce feeding @p consume. produce(emit) calls
+ * emit(Item &&) once per work item; consume(Item &) retires each item,
+ * in emission order and always on one thread. With ctl.overlap off the
+ * consumer runs inline inside emit(); with it on, on a StageWorker
+ * draining a BoundedFifo of ctl.fifoDepth items. Returns once every
+ * emitted item has been consumed.
+ */
+template <typename Item, typename Produce, typename Consume>
+void
+runStages(const StageRunControl &ctl, Produce &&produce, Consume &&consume)
+{
+    if (!ctl.overlap) {
+        produce([&](Item &&item) { consume(item); });
+        return;
+    }
+    BoundedFifo<Item> fifo(static_cast<size_t>(ctl.fifoDepth));
+    StageWorker consumer([&] {
+        while (auto item = fifo.pop())
+            consume(*item);
+    });
+    try {
+        produce([&](Item &&item) { fifo.push(std::move(item)); });
+    } catch (...) {
+        // Unblock the consumer before ~StageWorker joins it.
+        fifo.close();
+        throw;
+    }
+    fifo.close();
+    consumer.join();
+}
 
 } // namespace dphls::host
 

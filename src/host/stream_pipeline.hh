@@ -42,11 +42,21 @@
  *    misses are counted per backend (ChannelStats/BackendStats
  *    ::deadlineMisses) and summed into BatchStats::deadlineMisses.
  *  - Tickets can be **cancelled**: queued shards are dropped (and
- *    accounted per backend as ChannelStats::cancelled), in-flight
+ *    accounted per backend as ChannelStats::cancelled), an in-flight
+ *    device shard stops at its next job or lane-group boundary (its
+ *    unstarted jobs are accounted as cancelled too), in-flight CPU/GPU
  *    shards run to completion, and the ticket still completes — wait()
  *    returns, the completion callback fires once, and results() holds a
  *    partial result set (BatchTicket::completed() says which jobs ran;
  *    the rest hold default-constructed results and zero cycles).
+ *  - Every device shard runs as one producer (cache replay + fill)
+ *    feeding one consumer (traceback + writeback), the host copy of
+ *    the kernel's fill -> traceback split (host/stage_flow.hh). The
+ *    consumer runs inline on the shard's worker, or on its own thread
+ *    with BatchConfig::stagePipeline; nothing else differs. With
+ *    BatchConfig::preemption a strictly-higher-priority submission can
+ *    take a device channel from a running shard at one of its job or
+ *    lane-group boundaries; the rest of the shard re-queues.
  *  - Host worker **threads are decoupled from NK**: with the lane
  *    engine one thread can saturate several modeled channels, so
  *    BatchConfig::threads sizes the pool independently (0 = one thread
@@ -266,28 +276,28 @@ struct BatchConfig
      */
     int agingEvery = 0;
     /**
-     * Stage-pipelined shard execution: split each device shard into a
-     * fill producer and a traceback/writeback consumer connected by a
-     * bounded FIFO, so the traceback of job i overlaps the fill of
-     * job i+1 on the same channel. Results, per-job cycles and epoch
-     * accounting are bit-identical to the monolithic path (the cycle
-     * domain is analytic, so execution overlap cannot change it);
-     * only host wall-clock improves on traceback-heavy workloads.
+     * Run each device shard's traceback/writeback consumer on its own
+     * thread behind a bounded FIFO instead of inline on the worker, so
+     * the traceback of job i overlaps the fill of job i+1 on the same
+     * channel. Results, per-job cycles and epoch accounting are
+     * bit-identical either way (the cycle domain is analytic, so
+     * execution overlap cannot change it); only host wall-clock moves.
      */
     bool stagePipeline = false;
     /**
-     * Fill -> traceback FIFO capacity (clamped to >= 1). Capacity 1
-     * degenerates to lockstep stage hand-off; larger values let a
-     * fast fill run ahead of a slow traceback.
+     * Fill -> traceback FIFO capacity under stagePipeline (clamped to
+     * >= 1). Capacity 1 degenerates to lockstep stage hand-off; larger
+     * values let a fast fill run ahead of a slow traceback.
      */
     int stageFifoDepth = 4;
     /**
      * Let a strictly-higher-priority submission interrupt an
-     * in-flight staged shard at its next stage boundary: the shard
-     * yields its slot, the jobs whose stages had not started re-queue
-     * as a same-sequence remainder shard, and the yield is counted in
-     * ChannelStats::preemptions. Requires stagePipeline. When no
-     * preemption fires the output is bit-identical to preemption off.
+     * in-flight device shard at its next job or lane-group boundary:
+     * the shard yields its channel, the jobs that had not started
+     * re-queue as a same-sequence remainder shard, and the yield is
+     * counted in ChannelStats::preemptions. CPU/GPU shards have no such
+     * boundary and never yield. When no preemption fires the output is
+     * bit-identical to preemption off.
      */
     bool preemption = false;
 };
@@ -302,7 +312,7 @@ struct BackendStats
     int alignments = 0;
     int cancelled = 0;       //!< jobs dropped from this backend's queue
     int deadlineMisses = 0;  //!< jobs completed past their deadline
-    int preemptions = 0;     //!< staged shards that yielded mid-flight
+    int preemptions = 0;     //!< device shards that yielded mid-flight
     double seconds = 0;      //!< busyCycles / clockMhz
 };
 
@@ -324,7 +334,7 @@ struct BatchStats
     int alignments = 0;          //!< jobs that actually ran
     int cancelled = 0;           //!< jobs dropped by a ticket cancel()
     int deadlineMisses = 0;      //!< jobs completed past their deadline
-    int preemptions = 0;         //!< staged shards that yielded mid-flight
+    int preemptions = 0;         //!< device shards that yielded mid-flight
     double seconds = 0;          //!< slowest backend section's wall time
     double alignsPerSec = 0;
     double cyclesPerAlign = 0;
@@ -512,11 +522,11 @@ class DispatchCore
         /** Pops so far (aging phase); guarded by mutex. */
         uint64_t pops = 0;
         /**
-         * Preemption target: token of the staged shard occupying the
-         * slot (null while idle, or when preemption is disabled);
-         * guarded by mutex. The token outlives its registration — it
-         * lives on the running worker's stack and is deregistered
-         * before the run returns.
+         * Preemption target: token of the device shard occupying the
+         * slot (null while idle, when preemption is disabled, and on
+         * the CPU/GPU slots); guarded by mutex. The token outlives its
+         * registration — it lives on the running worker's stack and is
+         * deregistered before the run returns.
          */
         PreemptToken *runningToken = nullptr;
         /** Priority of the running shard (valid with runningToken). */
@@ -580,7 +590,8 @@ class DispatchCore
      * Drop every queued shard of @p ticket, accounting the dropped jobs
      * as cancelled on the backend they were queued for and retiring
      * their shards (the last retire completes the ticket). In-flight
-     * shards are untouched and run to completion.
+     * shards are not touched here: device shards see the ticket's
+     * cancel flag at their next job boundary and retire themselves.
      */
     void dropTicket(BatchTicket<K> &ticket);
 
@@ -647,10 +658,12 @@ class BatchTicket
 
     /**
      * Request cancellation: shards still queued are dropped immediately
-     * and accounted as cancelled on their backend; shards already
-     * running finish normally. When the drop retires the ticket's last
-     * outstanding shard, its completion callback runs synchronously on
-     * the cancelling thread. Returns false when the ticket had already
+     * and accounted as cancelled on their backend; a running device
+     * shard stops at its next job or lane-group boundary and accounts
+     * its unstarted jobs as cancelled; running CPU/GPU shards finish
+     * normally. When the drop retires the ticket's last outstanding
+     * shard, its completion callback runs synchronously on the
+     * cancelling thread. Returns false when the ticket had already
      * completed (nothing to cancel), true otherwise — including repeat
      * calls while the cancellation is in flight.
      */
@@ -859,19 +872,11 @@ class StreamPipeline
         _resolvedTier = sim::resolveIsaTier(_cfg.isaTier);
         _channels.reserve(static_cast<size_t>(_cfg.nk));
         for (int c = 0; c < _cfg.nk; c++) {
-            if (_cfg.laneWidth > 1) {
-                _channels.push_back(
-                    std::make_unique<LaneChannelBackend<K>>(
-                        ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
-                        _cfg.fmaxMhz, &_cache, _cfg.laneWidth,
-                        _cfg.sortLanesByLength, _cfg.intraPairSimd,
-                        _cfg.intraPairSimdMinLen));
-            } else {
-                _channels.push_back(
-                    std::make_unique<DeviceChannelBackend<K>>(
-                        ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
-                        _cfg.fmaxMhz, &_cache));
-            }
+            _channels.push_back(std::make_unique<DeviceChannelBackend<K>>(
+                ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
+                _cfg.fmaxMhz, &_cache, _cfg.laneWidth,
+                _cfg.sortLanesByLength, _cfg.intraPairSimd,
+                _cfg.intraPairSimdMinLen));
         }
         if (_cfg.cpuFallback) {
             const int cpu_threads = _cfg.cpuThreads > 0 ? _cfg.cpuThreads
@@ -1053,50 +1058,16 @@ class StreamPipeline
     }
 
     /**
-     * Admission view: modeled completion time (seconds from now) of
-     * routing @p jobs onto the current backlog — the cost-model
-     * routing's worst slot, i.e. each used slot's live queued-seconds
-     * signal plus the work this batch would add to it. Deadline-aware
-     * admission control (serve/admission.hh) rejects a ticket at
-     * submit when this estimate already exceeds its deadline budget,
-     * instead of counting a miss after the fact. Throws
-     * std::invalid_argument (like submit()) when some job no enabled
-     * backend can take. The estimate is advisory: it reads the live
-     * backlog counters racily and does not reserve capacity — two
-     * concurrent callers can both be told the same slot is free. Use
-     * reserveCompletion() when the answer gates admission.
-     */
-    double
-    estimateCompletionSeconds(const std::vector<Job> &jobs) const
-    {
-        const Routing r = routeCostModel(jobs, TicketOptions{});
-        double worst = 0;
-        for (int c = 0; c < _cfg.nk; c++) {
-            if (!r.shards[static_cast<size_t>(c)].empty())
-                worst = std::max(worst,
-                                 _core->queuedSeconds(c) +
-                                     r.shardEst[static_cast<size_t>(c)]);
-        }
-        if (!r.cpu.empty())
-            worst = std::max(worst, _core->queuedSeconds(
-                                        _core->cpuSlot()) +
-                                        r.cpuEst);
-        if (!r.gpu.empty())
-            worst = std::max(worst, _core->queuedSeconds(
-                                        _core->gpuSlot()) +
-                                        r.gpuEst);
-        return worst;
-    }
-
-    /**
      * Reserving admission view: route @p jobs, book their per-slot
      * estimates into the live backlog signal, and return a reservation
      * whose estimateSeconds() is the modeled completion time *given
-     * every earlier booking*. Unlike estimateCompletionSeconds() this
-     * closes the estimate/submit race: concurrent reservers serialize
-     * through the slots' atomic backlog counters, so the total work
-     * admitted against a deadline budget is bounded even under
-     * concurrent submitters (tests/test_admission_reserve.cc).
+     * every earlier booking*. Deadline-aware admission control
+     * (serve/admission.hh) rejects a ticket at submit when this
+     * estimate already exceeds its deadline budget. Booking and reading
+     * in one step closes the estimate/submit race: concurrent reservers
+     * serialize through the slots' atomic backlog counters, so the
+     * total work admitted against a deadline budget is bounded even
+     * under concurrent submitters (tests/test_admission_reserve.cc).
      *
      * On admit, pass the reservation to submit() — the enqueue swaps
      * the booking for the ticket's live entries. On reject, release()
@@ -1254,7 +1225,7 @@ class StreamPipeline
         r.shards = shardIndicesRoundRobin(device_idx, _cfg.nk);
         // Threshold routing ignores estimates for its *decisions*, but
         // the queued-work signal the estimates feed (noteEnqueued /
-        // estimateCompletionSeconds / reserveCompletion) must be real
+        // reserveCompletion) must be real
         // under every dispatch policy — admission control against a
         // permanently-zero backlog admits everything
         // (tests/test_admission_reserve.cc).
@@ -1503,8 +1474,8 @@ class StreamPipeline
                 std::lock_guard lock(_core->slot(slot).mutex);
                 auto &sl = _core->slot(slot);
                 sl.queue.insert(std::move(entry));
-                // A strictly-higher-priority arrival asks the staged
-                // shard occupying the slot to yield at its next stage
+                // A strictly-higher-priority arrival asks the device
+                // shard occupying the slot to yield at its next job
                 // boundary (pointless while paused: nothing would
                 // start in its place).
                 if (_cfg.preemption && sl.runningToken != nullptr &&
@@ -1585,11 +1556,19 @@ class StreamPipeline
         }
     }
 
-    /** Execute one popped shard on slot @p s, then chain the pump. */
+    /**
+     * Execute one popped shard on slot @p s, then chain the pump. A
+     * device shard may stop early at a job or lane-group boundary: on
+     * preemption its unstarted jobs re-queue as a remainder shard with
+     * the same submission sequence (the ticket stays pending across
+     * resumptions); on cancellation they are accounted as cancelled
+     * and the shard retires.
+     */
     void
     runShard(int s, ShardEntry &entry)
     {
         BatchTicket<K> &ticket = *entry.ticket;
+        auto &slot = _core->slot(s);
         AlignBackend<K> *backend;
         if (s < _cfg.nk)
             backend = _channels[static_cast<size_t>(s)].get();
@@ -1599,86 +1578,54 @@ class StreamPipeline
             backend = _gpu.get();
         ChannelStats &acct = _core->acctFor(ticket, s);
 
-        if (_cfg.stagePipeline && backend->supportsStagedRun()) {
-            runShardStaged(s, entry, *backend, acct);
-            return;
-        }
-
-        backend->run(ticket.jobs(), entry.indices,
-                     ticket._results.data(), ticket._cycles.data(), acct);
-        for (const int idx : entry.indices)
-            ticket._completed[static_cast<size_t>(idx)] = 1;
-        if (entry.deadline !=
-                detail::DispatchCore<K>::Clock::time_point::max() &&
-            detail::DispatchCore<K>::Clock::now() > entry.deadline) {
-            acct.deadlineMisses += static_cast<int>(entry.indices.size());
-        }
-        _core->noteCompleted(s, entry.estSeconds);
-
-        // Free the slot before the (possibly slow) path-stats merge and
-        // completion callback, so the next shard overlaps them.
-        {
-            std::lock_guard lock(_core->slot(s).mutex);
-            _core->slot(s).busy--;
-        }
-        pump(s);
-
-        collectPaths(ticket, entry.indices);
-        _core->finishShard(ticket);
-    }
-
-    /**
-     * Staged variant of runShard(): the backend overlaps fill and
-     * traceback internally and may stop early at a stage boundary —
-     * on preemption the unstarted jobs re-queue as a remainder shard
-     * with the same submission sequence (the ticket stays pending
-     * across resumptions); on cancellation they are accounted as
-     * cancelled and the shard retires.
-     */
-    void
-    runShardStaged(int s, ShardEntry &entry, AlignBackend<K> &backend,
-                   ChannelStats &acct)
-    {
-        BatchTicket<K> &ticket = *entry.ticket;
+        // Only device channels run one shard at a time with boundaries
+        // to yield at; the CPU/GPU slots never register a token.
+        const bool preemptible = _cfg.preemption && s < _cfg.nk;
         PreemptToken token;
-        if (_cfg.preemption) {
-            std::lock_guard lock(_core->slot(s).mutex);
-            _core->slot(s).runningToken = &token;
-            _core->slot(s).runningPriority = entry.priority;
-        }
         StageRunControl ctl;
-        ctl.preempt = _cfg.preemption ? &token : nullptr;
         ctl.cancelled = &ticket._cancelled;
+        ctl.overlap = _cfg.stagePipeline;
         ctl.fifoDepth = _cfg.stageFifoDepth;
-        ctl.done.assign(entry.indices.size(), 0);
-
-        backend.runStaged(ticket.jobs(), entry.indices,
-                          ticket._results.data(), ticket._cycles.data(),
-                          acct, ctl);
-
-        if (_cfg.preemption) {
-            std::lock_guard lock(_core->slot(s).mutex);
-            _core->slot(s).runningToken = nullptr;
-            _core->slot(s).runningPriority = 0;
+        if (preemptible) {
+            ctl.preempt = &token;
+            std::lock_guard lock(slot.mutex);
+            slot.runningToken = &token;
+            slot.runningPriority = entry.priority;
         }
 
-        // Partition by writeback outcome (grouping backends may finish
-        // out of submission order, so this is not a prefix split).
-        std::vector<int> completed, remainder;
-        completed.reserve(entry.indices.size());
-        for (size_t k = 0; k < entry.indices.size(); k++) {
-            if (ctl.done[k])
-                completed.push_back(entry.indices[k]);
-            else
-                remainder.push_back(entry.indices[k]);
+        backend->run(ticket.jobs(), entry.indices, ticket._results.data(),
+                     ticket._cycles.data(), acct, ctl);
+
+        if (preemptible) {
+            std::lock_guard lock(slot.mutex);
+            slot.runningToken = nullptr;
+            slot.runningPriority = 0;
         }
-        for (const int idx : completed)
-            ticket._completed[static_cast<size_t>(idx)] = 1;
-        if (!completed.empty() &&
+
+        // Split by writeback outcome (grouping backends may finish out
+        // of submission order, so this is not a prefix split); when
+        // every job wrote back, no remainder is built.
+        const size_t n = entry.indices.size();
+        size_t ran = 0;
+        for (size_t k = 0; k < n; k++) {
+            if (ctl.done[k]) {
+                ticket._completed[static_cast<size_t>(entry.indices[k])] = 1;
+                ran++;
+            }
+        }
+        if (ran > 0 &&
             entry.deadline !=
                 detail::DispatchCore<K>::Clock::time_point::max() &&
             detail::DispatchCore<K>::Clock::now() > entry.deadline) {
-            acct.deadlineMisses += static_cast<int>(completed.size());
+            acct.deadlineMisses += static_cast<int>(ran);
+        }
+        std::vector<int> remainder;
+        if (ran < n) {
+            remainder.reserve(n - ran);
+            for (size_t k = 0; k < n; k++) {
+                if (!ctl.done[k])
+                    remainder.push_back(entry.indices[k]);
+            }
         }
 
         const bool requeue = ctl.preempted && !remainder.empty() &&
@@ -1687,10 +1634,8 @@ class StreamPipeline
             // Split the backlog estimate across the resumptions in
             // proportion to the work done, so the queued-seconds
             // signal stays truthful while the remainder waits.
-            const double frac =
-                static_cast<double>(completed.size()) /
-                static_cast<double>(entry.indices.size());
-            const double est_done = entry.estSeconds * frac;
+            const double est_done = entry.estSeconds *
+                static_cast<double>(ran) / static_cast<double>(n);
             _core->noteCompleted(s, est_done);
             acct.preemptions++;
             ShardEntry rest;
@@ -1701,41 +1646,47 @@ class StreamPipeline
             rest.deadline = entry.deadline;
             rest.seq = entry.seq; // keeps its FIFO-tiebreak position
             {
-                std::lock_guard lock(_core->slot(s).mutex);
-                _core->slot(s).queue.insert(std::move(rest));
+                std::lock_guard lock(slot.mutex);
+                slot.queue.insert(std::move(rest));
             }
             // A cancel() racing this insert is safe: dropTicket or the
             // pump's cancelled-entry discard retires the shard either
             // way, exactly once.
         } else {
-            if (!remainder.empty())
-                acct.cancelled += static_cast<int>(remainder.size());
+            acct.cancelled += static_cast<int>(remainder.size());
             _core->noteCompleted(s, entry.estSeconds);
         }
 
+        // Free the slot before the (possibly slow) path-stats merge and
+        // completion callback, so the next shard overlaps them.
         {
-            std::lock_guard lock(_core->slot(s).mutex);
-            _core->slot(s).busy--;
+            std::lock_guard lock(slot.mutex);
+            slot.busy--;
         }
         pump(s);
 
-        collectPaths(ticket, completed);
+        collectPaths(ticket, entry.indices, ctl.done);
         if (!requeue)
             _core->finishShard(ticket);
     }
 
+    /** Merge the path statistics of the shard jobs that wrote back. */
     void
-    collectPaths(BatchTicket<K> &ticket, const std::vector<int> &indices)
+    collectPaths(BatchTicket<K> &ticket, const std::vector<int> &indices,
+                 const std::vector<uint8_t> &done)
     {
         if (!_cfg.collectPathStats)
             return;
         core::AlignmentStats local;
         const auto &jobs = ticket.jobs();
-        for (const int idx : indices) {
-            const auto &res = ticket._results[static_cast<size_t>(idx)];
+        for (size_t k = 0; k < indices.size(); k++) {
+            if (!done[k])
+                continue;
+            const size_t idx = static_cast<size_t>(indices[k]);
+            const auto &res = ticket._results[idx];
             if (res.ops.empty())
                 continue;
-            const auto &job = jobs[static_cast<size_t>(idx)];
+            const auto &job = jobs[idx];
             mergePathStats(local,
                            core::computeStats(job.query, job.reference,
                                               res.ops, res.start));

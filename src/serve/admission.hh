@@ -3,10 +3,11 @@
  * Deadline-aware admission control for the dphls_serve daemon.
  *
  * Policy half of the mechanism/policy split with
- * StreamPipeline::estimateCompletionSeconds(): the pipeline reports the
- * modeled completion time of a batch against its live backlog, and this
- * policy decides whether a request with a deadline should be admitted
- * at all. A request whose estimate already exceeds its budget is
+ * StreamPipeline::reserveCompletion(): the pipeline books a batch into
+ * its live backlog and reports the batch's modeled completion time,
+ * and this policy decides whether a request with a deadline should be
+ * admitted at all (the reservation commits on submit or releases on
+ * reject). A request whose estimate already exceeds its budget is
  * rejected at submit (protocol RejectReason::DeadlineUnmeetable) —
  * accounted separately from deadline *misses*, which are requests that
  * were admitted and then completed late. Rejecting up front keeps

@@ -6,8 +6,8 @@
  * CIGARs and cycle statistics — to the scalar wavefront engine. The
  * intra-pair anti-diagonal path (EnginePath::DiagSimd) gets the same
  * treatment on long banded pairs, band-edge shapes and empty inputs,
- * and the LaneChannelBackend's intra-pair routing is diffed end to end
- * through a StreamPipeline.
+ * and the device channel's intra-pair routing of lane groups of one is
+ * diffed end to end through a StreamPipeline.
  */
 
 #include <gtest/gtest.h>
@@ -353,6 +353,7 @@ TEST(IsaTiers, IntraPairRoutingIsResultTransparent)
     host::BatchConfig base;
     base.nk = 1;
     base.threads = 1;
+    base.laneWidth = 4; // intra-pair SIMD only serves lane groups
     base.bandWidth = 32;
     base.maxQueryLength = 2048;
     base.maxReferenceLength = 2048;

@@ -108,8 +108,9 @@ TEST(ShardedResultCache, CrossConfigBackendsDoNotAlias)
     Result narrow_res, wide_res;
     uint64_t narrow_cycles = 0, wide_cycles = 0;
     host::ChannelStats acct;
-    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct);
-    wide.run(jobs, indices, &wide_res, &wide_cycles, acct);
+    host::StageRunControl ctl;
+    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct, ctl);
+    wide.run(jobs, indices, &wide_res, &wide_cycles, acct, ctl);
 
     // Both computed (no cross-config hit), and each matches a fresh
     // uncached engine at its own configuration.
@@ -132,7 +133,7 @@ TEST(ShardedResultCache, CrossConfigBackendsDoNotAlias)
     EXPECT_NE(narrow_want.score, wide_want.score);
 
     // Same-config repeats still hit.
-    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct);
+    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct, ctl);
     EXPECT_EQ(cache.counters().hits, 1u);
     EXPECT_EQ(narrow_res.score, narrow_want.score);
 }

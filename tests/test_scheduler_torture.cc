@@ -24,13 +24,14 @@
  * — the priority machinery must be invisible when it has nothing to
  * reorder.
  *
- * The staged round re-runs the randomized interleavings with the
- * stage pipeline and preemption enabled and a chaos preemptor thread
- * submitting top-priority tickets that interrupt in-flight shards at
- * stage boundaries — every invariant above must survive arbitrary
- * preempt/resume/cancel interleavings (a preempted shard's remainder
- * re-queues within the same ticket, so ticket- and epoch-level closure
- * are unchanged).
+ * The preemption rounds re-run the randomized interleavings with
+ * preemption enabled, once with the shard consumer overlapped on its
+ * own thread and once inline, plus a chaos preemptor thread submitting
+ * top-priority tickets that interrupt in-flight device shards at job
+ * and lane-group boundaries — every invariant above must survive
+ * arbitrary preempt/resume/cancel interleavings (a preempted shard's
+ * remainder re-queues within the same ticket, so ticket- and
+ * epoch-level closure are unchanged).
  */
 
 #include <gtest/gtest.h>
@@ -95,7 +96,7 @@ sumSections(const host::BatchStats &stats)
  */
 template <typename K>
 void
-tortureKernel(uint64_t seed, bool staged = false)
+tortureKernel(uint64_t seed, bool preempt, bool overlap)
 {
     using Pipeline = host::StreamPipeline<K>;
     using Ticket = typename Pipeline::Ticket;
@@ -113,8 +114,8 @@ tortureKernel(uint64_t seed, bool staged = false)
     cfg.cpuFloorLen = 6; // some tiny jobs route to the CPU backend
     cfg.cpuModeledCellsPerSec = 1e9;
     cfg.collectPathStats = false;
-    cfg.stagePipeline = staged;
-    cfg.preemption = staged;
+    cfg.stagePipeline = overlap;
+    cfg.preemption = preempt;
     cfg.stageFifoDepth = 2;
     Pipeline pipeline(cfg);
     Pipeline golden(cfg); // blocking reference runs, same config
@@ -132,9 +133,9 @@ tortureKernel(uint64_t seed, bool staged = false)
         threads.emplace_back([&, p] {
             seq::Rng rng(seed + static_cast<uint64_t>(p) * 7919);
             for (int b = 0; b < batches_per_producer; b++) {
-                // Staged rounds submit bigger shards so the chaos
+                // Preemption rounds submit bigger shards so the chaos
                 // preemptor has something in flight to interrupt.
-                const int count = staged
+                const int count = preempt
                     ? 4 + static_cast<int>(rng.below(12))
                     : 1 + static_cast<int>(rng.below(4));
                 auto jobs = tortureJobs<K>(rng, count, 40);
@@ -200,12 +201,13 @@ tortureKernel(uint64_t seed, bool staged = false)
             std::this_thread::yield();
         }
     });
-    // Chaos preemptor (staged rounds): top-priority one-job tickets
-    // that land above every producer class, requesting the token of
-    // whatever staged shard holds the slot; waiting each one out keeps
-    // the stream paced to the pipeline instead of flooding the queue.
+    // Chaos preemptor (preemption rounds): top-priority one-job
+    // tickets that land above every producer class, requesting the
+    // token of whatever device shard holds the slot; waiting each one
+    // out keeps the stream paced to the pipeline instead of flooding
+    // the queue.
     std::thread preemptor;
-    if (staged) {
+    if (preempt) {
         preemptor = std::thread([&] {
             seq::Rng rng(seed ^ 0x9e37u);
             while (!stop.load()) {
@@ -379,44 +381,43 @@ priorityTransparentWhenUnused()
     EXPECT_EQ(s1.cancelled + s2.cancelled, 0) << K::name;
 }
 
+/** One torture round per registered kernel, seeds @p seed onwards. */
+void
+tortureAllKernels(uint64_t seed, bool preempt, bool overlap)
+{
+    tortureKernel<kernels::GlobalLinear>(seed + 0, preempt, overlap);
+    tortureKernel<kernels::GlobalAffine>(seed + 1, preempt, overlap);
+    tortureKernel<kernels::LocalLinear>(seed + 2, preempt, overlap);
+    tortureKernel<kernels::LocalAffine>(seed + 3, preempt, overlap);
+    tortureKernel<kernels::GlobalTwoPiece>(seed + 4, preempt, overlap);
+    tortureKernel<kernels::Overlap>(seed + 5, preempt, overlap);
+    tortureKernel<kernels::SemiGlobal>(seed + 6, preempt, overlap);
+    tortureKernel<kernels::ProfileAlignment>(seed + 7, preempt, overlap);
+    tortureKernel<kernels::Dtw>(seed + 8, preempt, overlap);
+    tortureKernel<kernels::Viterbi>(seed + 9, preempt, overlap);
+    tortureKernel<kernels::BandedGlobalLinear>(seed + 10, preempt, overlap);
+    tortureKernel<kernels::BandedLocalAffine>(seed + 11, preempt, overlap);
+    tortureKernel<kernels::BandedGlobalTwoPiece>(seed + 12, preempt,
+                                                 overlap);
+    tortureKernel<kernels::Sdtw>(seed + 13, preempt, overlap);
+    tortureKernel<kernels::ProteinLocal>(seed + 14, preempt, overlap);
+}
+
 } // namespace
 
 TEST(SchedulerTorture, RandomizedSubmitCancelWaitAllKernels)
 {
-    tortureKernel<kernels::GlobalLinear>(11);
-    tortureKernel<kernels::GlobalAffine>(12);
-    tortureKernel<kernels::LocalLinear>(13);
-    tortureKernel<kernels::LocalAffine>(14);
-    tortureKernel<kernels::GlobalTwoPiece>(15);
-    tortureKernel<kernels::Overlap>(16);
-    tortureKernel<kernels::SemiGlobal>(17);
-    tortureKernel<kernels::ProfileAlignment>(18);
-    tortureKernel<kernels::Dtw>(19);
-    tortureKernel<kernels::Viterbi>(20);
-    tortureKernel<kernels::BandedGlobalLinear>(21);
-    tortureKernel<kernels::BandedLocalAffine>(22);
-    tortureKernel<kernels::BandedGlobalTwoPiece>(23);
-    tortureKernel<kernels::Sdtw>(24);
-    tortureKernel<kernels::ProteinLocal>(25);
+    tortureAllKernels(11, false, false);
 }
 
 TEST(SchedulerTorture, StagedPreemptInterleavingsAllKernels)
 {
-    tortureKernel<kernels::GlobalLinear>(111, true);
-    tortureKernel<kernels::GlobalAffine>(112, true);
-    tortureKernel<kernels::LocalLinear>(113, true);
-    tortureKernel<kernels::LocalAffine>(114, true);
-    tortureKernel<kernels::GlobalTwoPiece>(115, true);
-    tortureKernel<kernels::Overlap>(116, true);
-    tortureKernel<kernels::SemiGlobal>(117, true);
-    tortureKernel<kernels::ProfileAlignment>(118, true);
-    tortureKernel<kernels::Dtw>(119, true);
-    tortureKernel<kernels::Viterbi>(120, true);
-    tortureKernel<kernels::BandedGlobalLinear>(121, true);
-    tortureKernel<kernels::BandedLocalAffine>(122, true);
-    tortureKernel<kernels::BandedGlobalTwoPiece>(123, true);
-    tortureKernel<kernels::Sdtw>(124, true);
-    tortureKernel<kernels::ProteinLocal>(125, true);
+    tortureAllKernels(111, true, true);
+}
+
+TEST(SchedulerTorture, InlinePreemptInterleavingsAllKernels)
+{
+    tortureAllKernels(211, true, false);
 }
 
 /**
@@ -499,9 +500,9 @@ TEST(SchedulerTorture, AgingBoundsBulkStarvation)
 
 /**
  * Submit-time rejection accounting: jobs refused by
- * estimateCompletionSeconds/submit (undispatchable shape) must appear
- * in *no* accounting bucket, while accepted work — including a
- * cancelled ticket — still closes the epoch as alignments + cancelled.
+ * reserveCompletion/submit (undispatchable shape) must appear in *no*
+ * accounting bucket, while accepted work — including a cancelled
+ * ticket — still closes the epoch as alignments + cancelled.
  */
 TEST(SchedulerTorture, SubmitRejectsStayOutsideEpochAccounting)
 {
@@ -532,15 +533,17 @@ TEST(SchedulerTorture, SubmitRejectsStayOutsideEpochAccounting)
     // The admission probe and submit must agree on the reject, and a
     // rejected batch must not touch the backlog counters.
     const auto oversized = jobsOf(2, 48);
-    EXPECT_THROW((void)pipeline.estimateCompletionSeconds(oversized),
+    EXPECT_THROW((void)pipeline.reserveCompletion(oversized),
                  std::invalid_argument);
     auto copy = oversized;
     EXPECT_THROW((void)pipeline.submit(std::move(copy)),
                  std::invalid_argument);
 
-    // A dispatchable batch still has a positive modeled estimate.
+    // A dispatchable batch still has a positive modeled estimate (the
+    // temporary reservation releases its booking at once).
     const auto accepted_jobs = jobsOf(6, 24);
-    EXPECT_GT(pipeline.estimateCompletionSeconds(accepted_jobs), 0.0);
+    EXPECT_GT(pipeline.reserveCompletion(accepted_jobs).estimateSeconds(),
+              0.0);
 
     pipeline.pause(); // so the cancel below lands before execution
     auto t1 = pipeline.submit(jobsOf(6, 24));

@@ -645,13 +645,6 @@ TEST(StreamPipeline, BackendEstimatesAndQueueSignal)
     Pipeline::Job mid{seq::randomDna(64, rng), seq::randomDna(64, rng)};
     EXPECT_GT(dev.estimate(mid).seconds, small_est.seconds);
 
-    // The queued-work signal round-trips.
-    EXPECT_EQ(dev.queuedSeconds(), 0.0);
-    dev.noteEnqueued(0.5);
-    EXPECT_NEAR(dev.queuedSeconds(), 0.5, 1e-9);
-    dev.noteCompleted(0.5);
-    EXPECT_EQ(dev.queuedSeconds(), 0.0);
-
     // CPU backend: pinned rate gives an exact deterministic estimate.
     host::CpuBaselineBackend<K> cpu(K::defaultParams(), 64, 1500.0, 2,
                                     false, 1e8);
@@ -675,7 +668,8 @@ TEST(StreamPipeline, BackendEstimatesAndQueueSignal)
     for (int i = 0; i < 8; i++)
         indices.push_back(i);
     host::ChannelStats acct;
-    learning.run(jobs, indices, results.data(), cycles.data(), acct);
+    host::StageRunControl ctl;
+    learning.run(jobs, indices, results.data(), cycles.data(), acct, ctl);
     EXPECT_GT(learning.cellsPerSecEstimate(short_cells), 0.0);
     EXPECT_NE(learning.cellsPerSecEstimate(short_cells), before);
     // A different shape bucket keeps its seed: the short jobs' samples
@@ -744,8 +738,10 @@ TEST(StreamPipeline, CancelLeavesInFlightShardsRunningToCompletion)
     // Deterministic mixed cancel, one channel + one worker: resume()
     // pops the victim's CPU shard synchronously (the CPU slot is
     // free), so once the cancelling callback — gated on resume()
-    // having returned — fires, that shard is in flight and must run to
-    // completion. The victim's device shard, by contrast, is still
+    // having returned — fires, that shard is in flight. Only a CPU
+    // shard, which has no job boundary to stop at, still runs to
+    // completion after a cancel (an in-flight device shard would stop
+    // at its next job boundary). The victim's device shard is still
     // queued behind blocker2 at that moment, so the cancel drops it —
     // leaving a genuinely partial result set: CPU job computed, device
     // jobs cancelled.

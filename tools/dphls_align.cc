@@ -46,10 +46,11 @@
  *               [--intra-pair] [--intra-pair-min-len L]
  *               [--stage-pipeline] [--stage-fifo-depth N] [--preempt]
  *
- * --stage-pipeline overlaps each shard's traceback with the next job's
- * fill on the same channel (bit-identical output, better wall-clock on
- * traceback-heavy runs); --preempt additionally lets higher-priority
- * tickets interrupt in-flight shards at stage boundaries.
+ * --stage-pipeline runs each device shard's traceback/writeback on its
+ * own thread, overlapping the next job's fill on the same channel
+ * (bit-identical output, only wall-clock changes); --preempt lets
+ * higher-priority tickets interrupt in-flight device shards at job and
+ * lane-group boundaries, with or without --stage-pipeline.
  *
  * --isa-tier pins the SIMD tier of the host lane engine (auto picks
  * the widest the CPU supports); results are identical at every tier,
@@ -786,7 +787,6 @@ main(int argc, char **argv)
         } else if (a == "--stage-fifo-depth") {
             opt.stageFifoDepth = std::atoi(next());
         } else if (a == "--preempt") {
-            opt.stagePipeline = true; // preemption needs stage points
             opt.preempt = true;
         } else if (a == "--workload") {
             opt.workload = next();

@@ -35,6 +35,14 @@
  *               [--cpu-fallback] [--cpu-floor L] [--gpu-model]
  *               [--aging-every N] [--quota N] [--no-admission]
  *               [--admission-slack X] [--interactive-priority P]
+ *               [--realtime-priority P] [--stage-pipeline]
+ *               [--stage-fifo-depth N] [--preempt]
+ *               [--isa-tier auto|scalar|sse2|avx2|avx512]
+ *
+ * --preempt lets a higher-class request interrupt an in-flight device
+ * shard at its next job or lane-group boundary; --stage-pipeline only
+ * moves each shard's traceback/writeback onto its own thread. Either
+ * works without the other.
  */
 
 #include <atomic>
@@ -297,7 +305,6 @@ main(int argc, char **argv)
         } else if (a == "--stage-fifo-depth") {
             opt.stageFifoDepth = std::atoi(next());
         } else if (a == "--preempt") {
-            opt.stagePipeline = true; // preemption needs stage points
             opt.preempt = true;
         } else if (a == "--quota") {
             opt.quota = static_cast<uint64_t>(std::atoll(next()));
