@@ -19,7 +19,8 @@
  *    policy is the shape rule: jobs the device cannot take (sequences
  *    over MAX_*_LENGTH) or should not take (pairs below a configurable
  *    floor) go to the CPU baseline backend, everything else round-robins
- *    over the device channels. The CostModel policy instead asks every
+ *    over the device channels, the round-robin continuing from one
+ *    ticket to the next. The CostModel policy instead asks every
  *    enabled backend for a service-time estimate (device channels:
  *    analytic cycle formulas; CPU: EWMA of measured cells/sec; GPU
  *    model: published GCUPS) and routes each job to the backend — and
@@ -114,8 +115,8 @@ enum class DispatchPolicy : uint8_t
 {
     /**
      * Shape thresholds (the original rule): oversized/tiny jobs to the
-     * CPU backend, everything else round-robin over device channels.
-     * Bit-identical to the pre-cost-model pipeline.
+     * CPU backend, everything else round-robin over device channels,
+     * continuing across tickets so one-job tickets spread too.
      */
     Threshold,
     /**
@@ -1194,14 +1195,19 @@ class StreamPipeline
 
     /**
      * Threshold routing: the original shape rule — CPU for oversized/
-     * tiny jobs, round-robin device sharding for the rest. Exactly the
-     * old sharding when nothing routes to the CPU. An oversized job
-     * with no CPU backend falls back to the GPU model when that is
-     * enabled (its full-matrix implementation has no length limit)
-     * before failing loudly.
+     * tiny jobs, round-robin device sharding for the rest. The
+     * round-robin continues across tickets: a ticket's i-th device job
+     * goes to channel (cursor + i) mod nk, and the cursor then moves
+     * past the ticket's device jobs, so a stream of one-job tickets
+     * spreads over every channel instead of queueing on channel 0.
+     * Shard sizes per ticket are shardIndicesRoundRobin's, and a fresh
+     * pipeline's first ticket shards exactly like it (job i on channel
+     * i mod nk). An oversized job with no CPU backend falls back to the
+     * GPU model when that is enabled (its full-matrix implementation
+     * has no length limit) before failing loudly.
      */
     Routing
-    routeThreshold(const std::vector<Job> &jobs) const
+    routeThreshold(const std::vector<Job> &jobs)
     {
         Routing r;
         std::vector<int> device_idx;
@@ -1223,6 +1229,12 @@ class StreamPipeline
             }
         }
         r.shards = shardIndicesRoundRobin(device_idx, _cfg.nk);
+        const size_t nk = r.shards.size();
+        const size_t first = _nextChannel.fetch_add(device_idx.size()) % nk;
+        std::rotate(r.shards.begin(),
+                    r.shards.begin() + static_cast<std::ptrdiff_t>(
+                                           (nk - first) % nk),
+                    r.shards.end());
         // Threshold routing ignores estimates for its *decisions*, but
         // the queued-work signal the estimates feed (noteEnqueued /
         // reserveCompletion) must be real
@@ -1702,6 +1714,8 @@ class StreamPipeline
     DebugMutex _outstandingMutex{lockrank::kOutstanding, "outstanding"};
     std::vector<Ticket> _outstanding; //!< submitted, not yet retired
     std::shared_ptr<Core> _core;      //!< shared with issued tickets
+    /** Threshold round-robin cursor: device jobs routed so far. */
+    std::atomic<uint64_t> _nextChannel{0};
     std::vector<std::unique_ptr<AlignBackend<K>>> _channels;
     std::unique_ptr<CpuBaselineBackend<K>> _cpu;
     std::unique_ptr<GpuModelBackend<K>> _gpu;

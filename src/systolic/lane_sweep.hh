@@ -3,8 +3,9 @@
  * Tier-compiled SIMD sweeps: the contract between the baseline-compiled
  * engines and the per-ISA-tier sweep translation units.
  *
- * The hot vector loops of the lane engine (inter-pair lockstep rows)
- * and the diagonal path (intra-pair anti-diagonal) live in
+ * The hot vector loops of the lane engine (inter-pair lockstep rows),
+ * the diagonal path (intra-pair anti-diagonal) and the streaming sDTW
+ * (row-carrying query strips, workloads/sdtw_stream.hh) live in
  * `lane_sweep_impl.hh`, which is compiled three times with different
  * `-m` flags (lane_sweep_{sse2,avx2,avx512}.cc). Each TU registers its
  * instantiations in a type-erased registry keyed by (kernel, width,
@@ -309,20 +310,47 @@ struct DiagSweepArgs
     int32_t *bestJ = nullptr;
 };
 
-/** Registry keys: typeid(LaneSweepTag<K, W>) / typeid(DiagSweepTag<K, W>). */
+/**
+ * Row-carrying strip sweep inputs/outputs: one strip of W consecutive
+ * query rows (W = isaTierLanes of the registered tier), one row per
+ * lane, against the whole reference. `row` is the DP row above the
+ * strip on entry and the strip's last row on return, updated in place;
+ * its column 0 leaves as `worstRaw`, the kernel's sentinel left column.
+ */
+template <typename K>
+struct StripSweepArgs
+{
+    int rlen = 0;
+    int32_t worstRaw = 0;           //!< sentinel left column, raw form
+    const int32_t *q32 = nullptr;   //!< [W] the strip's query samples
+    const int32_t *r32 = nullptr;   //!< [rlen] reference samples
+    int32_t *row = nullptr;         //!< [rlen + 1] carried row, in/out
+    const typename K::Params *params = nullptr;
+};
+
+/**
+ * Registry keys: typeid(LaneSweepTag<K, W>) / typeid(DiagSweepTag<K, W>)
+ * / typeid(StripSweepTag<K>). A strip sweep is registered once per tier,
+ * at that tier's native width.
+ */
 template <typename K, int W>
 struct LaneSweepTag
 {};
 template <typename K, int W>
 struct DiagSweepTag
 {};
+template <typename K>
+struct StripSweepTag
+{};
 
 template <typename K>
 using LaneSweepFn = void (*)(const LaneSweepArgs<K> &);
 template <typename K>
 using DiagSweepFn = void (*)(const DiagSweepArgs<K> &);
+template <typename K>
+using StripSweepFn = void (*)(const StripSweepArgs<K> &);
 
-/** Type-erased sweep entry point (cast back via Lane/DiagSweepFn). */
+/** Type-erased sweep entry point (cast back via Lane/Diag/StripSweepFn). */
 using SweepFnErased = void (*)();
 
 /** Called by the tier TUs' static registrars (thread-safe after main). */
@@ -347,6 +375,15 @@ lookupDiagSweep(IsaTier tier)
 {
     return reinterpret_cast<DiagSweepFn<K>>(
         lookupSweep(typeid(DiagSweepTag<K, W>), tier));
+}
+
+/** The strip sweep of @p tier; its strips are isaTierLanes(tier) high. */
+template <typename K>
+StripSweepFn<K>
+lookupStripSweep(IsaTier tier)
+{
+    return reinterpret_cast<StripSweepFn<K>>(
+        lookupSweep(typeid(StripSweepTag<K>), tier));
 }
 
 } // namespace dphls::sim

@@ -9,7 +9,8 @@
  *
  * before including this file, and is compiled with the matching -m
  * flags. A static registrar publishes the instantiations (all registry
- * kernels x widths up to native) into the sweep registry; everything
+ * kernels x widths up to native, plus the sDTW strip sweep at native
+ * width) into the sweep registry; everything
  * here lives in a tier-specific namespace and every helper it calls is
  * force-inlined, so no tier's instructions can leak into another TU
  * through COMDAT folding.
@@ -23,6 +24,8 @@
  *    whose optimum reduction re-establishes the scalar paths'
  *    first-optimum-in-(row,col)-order semantics explicitly, because
  *    anti-diagonal visit order differs from row-major.
+ *  - stripSweep: the streaming sDTW's row update (sdtw_stream.hh), W
+ *    query rows at a time as a systolic strip over a carried row.
  */
 
 #ifndef DPHLS_SWEEP_NS
@@ -30,6 +33,7 @@
 #endif
 
 #include <cstring>
+#include <utility>
 
 #include "kernels/all.hh"
 #include "systolic/lane_sweep.hh"
@@ -366,6 +370,97 @@ diagSweep(const DiagSweepArgs<K> &a)
     *a.bestJ = bj;
 }
 
+/**
+ * Shift @p v up one lane with @p x entering lane 0: lane 0 takes x[0]
+ * and lane k takes v[k - 1]. One two-source shuffle with a constant
+ * mask (a vpermt2d on AVX-512).
+ */
+template <typename V, int... I>
+DPHLS_SIMD_INLINE V
+shiftUp(V v, V x, std::integer_sequence<int, I...>)
+{
+    return __builtin_shufflevector(v, x, static_cast<int>(sizeof...(I)) + 1,
+                                   I...);
+}
+
+/**
+ * One systolic step of the strip sweep: @p top (the carried row's R[t])
+ * and @p rin (the reference sample r[t-1]) enter lane 0, and every lane
+ * computes its next cell from register operands only.
+ */
+template <typename K, int W, typename V>
+DPHLS_SIMD_INLINE void
+stripStep(V &cur, V &up, V &ref, V qry, int32_t top, int32_t rin,
+          const typename K::Params &params)
+{
+    constexpr auto lanes = std::make_integer_sequence<int, W - 1>{};
+    const V dg = up;
+    up = shiftUp(cur, simd::splat<V>(top), lanes);
+    ref = shiftUp(ref, simd::splat<V>(rin), lanes);
+    V sc[1], ptr;
+    callLaneCell<K, V>(&up, &cur, &dg, &qry, &ref, params, sc, ptr);
+    cur = sc[0];
+}
+
+/**
+ * Row-carrying strip sweep, DP-HLS's query chunking (Fig. 2C) on SIMD
+ * lanes: the W lanes are the PEs, lane k holding query row k of the
+ * strip, and the reference streams through them one column per step,
+ * so at step t lane k computes column j = t - k. Every operand is a
+ * register:
+ *
+ *   up   (k-1, j)   -> the previous step's vector shifted up one lane,
+ *                      the carried row's R[t] entering lane 0
+ *   diag (k-1, j-1) -> the previous step's up
+ *   left (k,   j-1) -> the previous step's own vector
+ *   ref  r[j-1]     -> a second shift register, r[t-1] entering lane 0
+ *
+ * The last lane writes column t - W + 1 back into the carried row. That
+ * write trails lane 0's read of R[t] by W - 1 columns, so the row is
+ * updated in place. During the first W steps the lanes at column <= 0
+ * hold the sentinel, column 0 being the kernel's sentinel left column
+ * (the last lane stores it as the new R[0]). A lane past the last
+ * column only feeds lanes further past it, so the W - 1 drain steps
+ * shift in don't-care values.
+ */
+template <typename K, int W>
+void
+stripSweep(const StripSweepArgs<K> &a)
+{
+    static_assert(K::nLayers == 1 &&
+                  LaneCharTraits<typename K::CharT>::planes == 1);
+    using V = typename simd::VecPack<W>::I32;
+
+    const int rlen = a.rlen;
+    int32_t *const row = a.row;
+    const typename K::Params &params = *a.params;
+    const V worst = simd::splat<V>(a.worstRaw);
+    V qry;
+    std::memcpy(&qry, a.q32, sizeof(V));
+    V iota{};
+    for (int k = 0; k < W; k++)
+        iota[k] = k;
+
+    V cur = worst, up = worst, ref{};
+    // Prologue: lanes k >= t sit at column <= 0. On a reference shorter
+    // than the strip, lane 0 already runs past the last column here.
+    for (int t = 0; t < W; t++) {
+        stripStep<K, W>(cur, up, ref, qry, t <= rlen ? row[t] : 0,
+                        t >= 1 && t <= rlen ? a.r32[t - 1] : 0, params);
+        cur = simd::sel(iota < simd::splat<V>(t), cur, worst);
+    }
+    row[0] = cur[W - 1];
+    for (int t = W; t <= rlen; t++) {
+        stripStep<K, W>(cur, up, ref, qry, row[t], a.r32[t - 1], params);
+        row[t - W + 1] = cur[W - 1];
+    }
+    // Drain: lane 0 has passed the last column.
+    for (int t = rlen + 1 > W ? rlen + 1 : W; t < rlen + W; t++) {
+        stripStep<K, W>(cur, up, ref, qry, 0, 0, params);
+        row[t - W + 1] = cur[W - 1];
+    }
+}
+
 /** Register every width this tier natively covers for one kernel. */
 template <typename K>
 void
@@ -413,6 +508,9 @@ registerAllSweeps()
     registerKernelSweeps<kernels::Viterbi>();
     registerKernelSweeps<kernels::Sdtw>();
     registerKernelSweeps<kernels::ProteinLocal>();
+    registerSweep(typeid(StripSweepTag<kernels::Sdtw>), kTier,
+                  reinterpret_cast<SweepFnErased>(
+                      &stripSweep<kernels::Sdtw, kNativeW>));
     return true;
 }
 

@@ -11,6 +11,15 @@
  * invisible to it — tests/test_workload_basecall.cc locks this against
  * the full-matrix golden model).
  *
+ * The row advances the way the device does it (DP-HLS Fig. 2C): W
+ * samples at a time as a systolic strip, one sample per SIMD lane, the
+ * reference streaming through the lanes and the carried row serving as
+ * the preserved row between strips (the strip sweep of the host's ISA
+ * tier, systolic/lane_sweep.hh, W its native lane count). The last
+ * count % W samples of a feed, and every sample when the tier is
+ * scalar, take the scalar row loop; both run the kernel's recurrence,
+ * so the split changes no score.
+ *
  * Early-abandon soundness: every sDTW cell adds a non-negative cost
  * |q - r| to the minimum of its three neighbors, so the minimum of row
  * i+1 is >= the minimum of row i (induction along the row: each new
@@ -32,14 +41,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "kernels/sdtw.hh"
 #include "seq/alphabet.hh"
+#include "systolic/lane_sweep.hh"
 
 namespace dphls::workloads {
 
 class SdtwStream
 {
   public:
-    explicit SdtwStream(seq::SignalSequence reference);
+    /** Resolves the host's ISA tier and its strip sweep once, here. */
+    explicit SdtwStream(const seq::SignalSequence &reference);
 
     /** Append query samples; the DP advances one row per sample. */
     void feed(const seq::SignalSample *samples, size_t count);
@@ -73,11 +85,11 @@ class SdtwStream
      *  reference. */
     void reset();
 
-    const seq::SignalSequence &reference() const { return _reference; }
-
   private:
-    seq::SignalSequence _reference;
-    std::vector<int32_t> _row; //!< current DP row, cols 0..rlen
+    std::vector<int32_t> _ref;  //!< reference samples, widened
+    std::vector<int32_t> _row;  //!< current DP row, cols 0..rlen
+    sim::StripSweepFn<kernels::Sdtw> _sweep = nullptr; //!< null: scalar
+    int _lanes = 0;             //!< strip height (the tier's lanes)
     int _rows = 0;
 };
 

@@ -7,11 +7,15 @@
  * intra-pair anti-diagonal path (EnginePath::DiagSimd) gets the same
  * treatment on long banded pairs, band-edge shapes and empty inputs,
  * and the device channel's intra-pair routing of lane groups of one is
- * diffed end to end through a StreamPipeline.
+ * diffed end to end through a StreamPipeline. The streaming sDTW's
+ * row-carrying strip sweep is driven directly at every vector tier and
+ * checked after every strip against rows built from Sdtw::peFunc.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "systolic/engine.hh"
 #include "systolic/isa_tier.hh"
 #include "systolic/lane_engine.hh"
+#include "systolic/lane_sweep.hh"
 
 using namespace dphls;
 
@@ -263,6 +268,101 @@ TEST(DiagPath, FixedPointKernels)
     expectDiagMatchesWavefront<kernels::Viterbi>(90, 80, 8, 91);
     expectDiagMatchesWavefront<kernels::Dtw>(70, 85, 8, 92);
     expectDiagMatchesWavefront<kernels::Sdtw>(100, 140, 8, 93);
+}
+
+// --- Strip sweep: the streaming sDTW's systolic query strips ----------
+
+namespace {
+
+/** An sDTW sample: an int16 extreme, zero, or a random value. */
+int32_t
+stripSample(seq::Rng &rng)
+{
+    switch (rng.below(4)) {
+      case 0:
+        return std::numeric_limits<int16_t>::min();
+      case 1:
+        return std::numeric_limits<int16_t>::max();
+      case 2:
+        return 0;
+      default:
+        return static_cast<int32_t>(rng.range(-2000, 2000));
+    }
+}
+
+/** The DP row after @p q, built cell by cell from Sdtw::peFunc. */
+std::vector<int32_t>
+peFuncRow(const std::vector<int32_t> &prev, int32_t q,
+          const std::vector<int32_t> &ref)
+{
+    using K = kernels::Sdtw;
+    const K::Params params = K::defaultParams();
+    std::vector<int32_t> row(prev.size());
+    row[0] = K::initColScore(0, 0, params);
+    for (size_t j = 1; j < row.size(); j++) {
+        K::In in;
+        in.up = {prev[j]};
+        in.left = {row[j - 1]};
+        in.diag = {prev[j - 1]};
+        in.qryVal = seq::SignalSample{static_cast<int16_t>(q)};
+        in.refVal = seq::SignalSample{static_cast<int16_t>(ref[j - 1])};
+        row[j] = K::peFunc(in, params).score[0];
+    }
+    return row;
+}
+
+} // namespace
+
+TEST(StripSweep, MatchesPeFuncAfterEveryStripAllTiers)
+{
+    using K = kernels::Sdtw;
+    const K::Params params = K::defaultParams();
+    const int32_t worst = core::scoreSentinelWorst<int32_t>(K::objective);
+    seq::Rng rng(95);
+    for (const sim::IsaTier tier : testTiers()) {
+        if (tier == sim::IsaTier::Scalar)
+            continue;
+        // A registration slip must fail here, not fall back to scalar.
+        const auto sweep = sim::lookupStripSweep<K>(tier);
+        ASSERT_NE(sweep, nullptr) << sim::isaTierName(tier);
+        const int w = sim::isaTierLanes(tier);
+        for (const int rlen : {1, 2, w - 1, w, w + 1, 7 * w + 3, 300}) {
+            for (const bool origin : {true, false}) {
+                std::vector<int32_t> ref(static_cast<size_t>(rlen));
+                for (auto &r : ref)
+                    r = stripSample(rng);
+                // The origin row is the kernel's init row; a later row
+                // has the sentinel left column and arbitrary scores.
+                std::vector<int32_t> row(ref.size() + 1);
+                row[0] = origin ? K::originScore(0, params) : worst;
+                for (size_t j = 1; j < row.size(); j++) {
+                    row[j] = origin
+                        ? K::initRowScore(static_cast<int>(j), 0, params)
+                        : static_cast<int32_t>(rng.below(1 << 20));
+                }
+                std::vector<int32_t> want = row;
+                for (int s = 0; s < 3; s++) {
+                    std::vector<int32_t> q(static_cast<size_t>(w));
+                    for (auto &x : q)
+                        x = stripSample(rng);
+                    sim::StripSweepArgs<K> a;
+                    a.rlen = rlen;
+                    a.worstRaw = worst;
+                    a.q32 = q.data();
+                    a.r32 = ref.data();
+                    a.row = row.data();
+                    a.params = &params;
+                    sweep(a);
+                    for (const int32_t x : q)
+                        want = peFuncRow(want, x, ref);
+                    ASSERT_EQ(row, want)
+                        << sim::isaTierName(tier) << " rlen " << rlen
+                        << (origin ? " origin" : " later") << " strip "
+                        << s;
+                }
+            }
+        }
+    }
 }
 
 // --- Config surface --------------------------------------------------

@@ -5,7 +5,8 @@
  * every registered kernel; overlapped submission and completion
  * callbacks must behave; heterogeneous device/CPU dispatch accounting
  * must stay consistent (per-backend sections summing to epoch totals);
- * length-sorted lane grouping must be observation-transparent; and a
+ * length-sorted lane grouping must be observation-transparent;
+ * Threshold routing's round-robin must continue across tickets; and a
  * pipeline destroyed with in-flight tickets must still complete them.
  */
 
@@ -544,6 +545,46 @@ TEST(StreamPipeline, DrainAggregatesAcrossTicketsInSubmissionOrder)
     const auto empty = pipeline.drain();
     EXPECT_EQ(empty.alignments, 0);
     EXPECT_EQ(empty.makespanCycles, 0u);
+}
+
+TEST(StreamPipeline, ThresholdRoundRobinContinuesAcrossTickets)
+{
+    host::BatchConfig cfg;
+    cfg.npe = 8;
+    cfg.nk = 4;
+    const auto jobs = dnaJobs(8, 1600);
+    const auto nk = static_cast<size_t>(cfg.nk);
+
+    // One-job tickets take turns over the channels instead of every
+    // one of them queueing on channel 0.
+    Pipeline pipeline(cfg);
+    for (size_t i = 0; i < jobs.size(); i++) {
+        auto t = pipeline.submit(std::vector<Pipeline::Job>{jobs[i]});
+        t->wait();
+        ASSERT_EQ(t->stats().channels.size(), nk);
+        for (size_t c = 0; c < nk; c++) {
+            EXPECT_EQ(t->stats().channels[c].alignments,
+                      c == i % nk ? 1 : 0)
+                << "ticket " << i << " channel " << c;
+        }
+    }
+
+    // A fresh pipeline's first ticket still puts job i on channel
+    // i mod nk: each channel's cycle sum is exactly its jobs'.
+    Pipeline fresh(cfg);
+    auto t = fresh.submit(
+        std::vector<Pipeline::Job>(jobs.begin(), jobs.begin() + 6));
+    t->wait();
+    std::vector<uint64_t> want_cycles(nk, 0);
+    std::vector<int> want_jobs(nk, 0);
+    for (size_t i = 0; i < 6; i++) {
+        want_cycles[i % nk] += t->cycles()[i];
+        want_jobs[i % nk]++;
+    }
+    for (size_t c = 0; c < nk; c++) {
+        EXPECT_EQ(t->stats().channels[c].alignments, want_jobs[c]) << c;
+        EXPECT_EQ(t->stats().channels[c].totalCycles, want_cycles[c]) << c;
+    }
 }
 
 TEST(StreamPipeline, OversizedJobWithoutFallbackFailsLoudlyAtSubmit)

@@ -2,10 +2,11 @@
  * @file
  * Streaming sDTW basecaller coverage:
  *
- *  - SdtwStream equals the full-matrix golden model bit-for-bit, for
- *    any chunking of the query (chunk boundaries are invisible to the
- *    DP), including degenerate empty-query / empty-reference shapes —
- *    the unified squiggle degenerate-input contract;
+ *  - SdtwStream equals the full-matrix golden model bit-for-bit after
+ *    every feed, for any chunking of the query (chunk boundaries and
+ *    the strip/scalar split of a feed are invisible to the DP),
+ *    including degenerate empty-query / empty-reference shapes — the
+ *    unified squiggle degenerate-input contract;
  *  - the prefix score is a monotone, admissible lower bound;
  *  - early-abandon pruning never changes a surviving read's outcome
  *    (bit-identity pruned vs unpruned) and only abandons reads whose
@@ -82,21 +83,30 @@ sdtwConfig()
 
 TEST(SdtwStream, MatchesGoldenModelForAnyChunking)
 {
+    // Chunk sizes straddle every tier's strip height (4, 8, 16), so
+    // feeds mix whole strips with scalar remainders; the shapes include
+    // references shorter than a strip and queries shorter than 16.
     seq::Rng rng(31);
     const ref::MatrixAligner<kernels::Sdtw> golden;
-    for (const auto [qlen, rlen] :
-         {std::pair{1, 1}, {5, 9}, {64, 80}, {127, 200}, {200, 64}}) {
+    for (const auto &[qlen, rlen] :
+         {std::pair{1, 1}, {5, 9}, {3, 2}, {9, 15}, {15, 40}, {40, 1},
+          {33, 2}, {70, 15}, {64, 80}, {127, 200}, {200, 64}}) {
         const auto query = randomSignal(qlen, rng);
         const auto reference = randomSignal(rlen, rng);
-        const auto want = golden.align(query, reference).score;
-        for (const int chunk : {1, 3, 7, 64, qlen}) {
+        for (const int chunk :
+             {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64, qlen}) {
             SdtwStream dp(reference);
-            for (const auto &c : chunked(query, chunk))
+            seq::SignalSequence prefix;
+            for (const auto &c : chunked(query, chunk)) {
                 dp.feed(c);
+                prefix.chars.insert(prefix.chars.end(), c.chars.begin(),
+                                    c.chars.end());
+                ASSERT_EQ(dp.samplesFed(), prefix.length());
+                ASSERT_EQ(dp.score(), golden.align(prefix, reference).score)
+                    << "qlen " << qlen << " rlen " << rlen << " chunk "
+                    << chunk << " fed " << prefix.length();
+            }
             ASSERT_EQ(dp.samplesFed(), qlen);
-            EXPECT_EQ(dp.score(), want)
-                << "qlen " << qlen << " rlen " << rlen << " chunk "
-                << chunk;
         }
     }
 }
