@@ -170,9 +170,10 @@ BM_Sdtw(benchmark::State &state)
 BENCHMARK(BM_Sdtw);
 
 /**
- * Execution-path ablation: wavefront reference vs row-major fast path,
- * 1k x 1k local-affine DNA with traceback on. Same results, same cycle
- * stats — only host throughput differs.
+ * Execution-path ablation: wavefront reference vs the fast path (the
+ * strip sweep at the active ISA tier), 1k x 1k local-affine DNA with
+ * traceback on. Same results, same cycle stats — only host throughput
+ * differs.
  */
 static void
 BM_ExecPath1kLocalAffine(benchmark::State &state)
@@ -352,14 +353,13 @@ BENCHMARK(BM_LaneIsaTier)
     ->Arg(static_cast<int>(sim::IsaTier::Avx2))
     ->Arg(static_cast<int>(sim::IsaTier::Avx512));
 
-/** One ~100kb banded pair per path (Arg: 0 wave, 1 fast, 2 diag). */
+/**
+ * One ~100kb banded pair per path (Arg: 0 wavefront, 1 the strip sweep
+ * at the active tier, 2 the row-major fill at IsaTier::Scalar).
+ */
 static void
 BM_LongBandedPairPath(benchmark::State &state)
 {
-    const sim::EnginePath path =
-        state.range(0) == 0   ? sim::EnginePath::Wavefront
-        : state.range(0) == 1 ? sim::EnginePath::Fast
-                              : sim::EnginePath::DiagSimd;
     constexpr int len = 100000, band = 64;
     seq::Rng rng(77);
     auto q = seq::randomDna(len, rng);
@@ -370,7 +370,10 @@ BM_LongBandedPairPath(benchmark::State &state)
     cfg.bandWidth = band;
     cfg.maxQueryLength = len;
     cfg.maxReferenceLength = len;
-    cfg.path = path;
+    cfg.path = state.range(0) == 0 ? sim::EnginePath::Wavefront
+                                   : sim::EnginePath::Fast;
+    cfg.isaTier =
+        state.range(0) == 2 ? sim::IsaTier::Scalar : sim::IsaTier::Auto;
     sim::SystolicAligner<kernels::BandedGlobalLinear> engine(cfg);
     uint64_t cycles = 0;
     for (auto _ : state) {
@@ -446,14 +449,14 @@ measureLaneCellsPerSec(sim::IsaTier tier, uint64_t *device_cycles)
 }
 
 /**
- * Wall-clock band cells/sec of one execution path on a single long
- * banded-global pair — the intra-pair shape: one alignment in flight,
- * no sibling pairs to fill inter-pair lanes, so the anti-diagonal path
- * (EnginePath::DiagSimd) is the only SIMD on offer.
+ * Wall-clock band cells/sec of one execution path and ISA tier on a
+ * single long banded-global pair — the intra-pair shape: one alignment
+ * in flight, no sibling pairs to fill inter-pair lanes, so the fast
+ * path's strip sweep is the only SIMD on offer.
  */
 double
-measureLongBandedPair(sim::EnginePath path, int len, int band,
-                      uint64_t *device_cycles)
+measureLongBandedPair(sim::EnginePath path, sim::IsaTier tier, int len,
+                      int band, uint64_t *device_cycles)
 {
     using K = kernels::BandedGlobalLinear;
     seq::Rng rng(77);
@@ -466,6 +469,7 @@ measureLongBandedPair(sim::EnginePath path, int len, int band,
     cfg.maxQueryLength = len;
     cfg.maxReferenceLength = len;
     cfg.path = path;
+    cfg.isaTier = tier;
     sim::SystolicAligner<K> engine(cfg);
 
     engine.align(q, r); // warm-up
@@ -891,31 +895,33 @@ writeJson(const std::string &path)
         w.kv("avx2_vs_sse2_speedup", avx2_rate / sse2_rate);
     w.endObject();
 
-    // Intra-pair anti-diagonal path on one ~100kb banded-global pair:
-    // the single-long-pair shape where inter-pair lanes are empty.
-    // Device cycles are path-independent; only host band cells/sec
-    // moves.
+    // One ~100kb banded-global pair: the single-long-pair shape where
+    // inter-pair lanes are empty. The fast path fills it as a strip at
+    // the active tier and row-major at IsaTier::Scalar. Device cycles
+    // are path-independent; only host band cells/sec moves.
     constexpr int kLongLen = 100000, kLongBand = 64;
-    uint64_t lp_wave = 0, lp_fast = 0, lp_diag = 0;
+    uint64_t lp_wave = 0, lp_strip = 0, lp_row = 0;
     const double lp_wave_rate =
-        measureLongBandedPair(sim::EnginePath::Wavefront, kLongLen,
-                              kLongBand, &lp_wave);
-    const double lp_fast_rate = measureLongBandedPair(
-        sim::EnginePath::Fast, kLongLen, kLongBand, &lp_fast);
-    const double lp_diag_rate = measureLongBandedPair(
-        sim::EnginePath::DiagSimd, kLongLen, kLongBand, &lp_diag);
+        measureLongBandedPair(sim::EnginePath::Wavefront,
+                              sim::IsaTier::Auto, kLongLen, kLongBand,
+                              &lp_wave);
+    const double lp_strip_rate =
+        measureLongBandedPair(sim::EnginePath::Fast, sim::IsaTier::Auto,
+                              kLongLen, kLongBand, &lp_strip);
+    const double lp_row_rate =
+        measureLongBandedPair(sim::EnginePath::Fast, sim::IsaTier::Scalar,
+                              kLongLen, kLongBand, &lp_row);
     w.key("intra_pair");
     w.beginObject();
     w.kv("workload",
          "banded-global DNA 100000x100000, band 64, traceback on, "
          "single pair");
     w.kv("wavefront_cells_per_sec", lp_wave_rate);
-    w.kv("fast_cells_per_sec", lp_fast_rate);
-    w.kv("diag_simd_cells_per_sec", lp_diag_rate);
-    w.kv("diag_vs_wavefront_speedup", lp_diag_rate / lp_wave_rate);
-    w.kv("diag_vs_fast_speedup", lp_diag_rate / lp_fast_rate);
+    w.kv("strip_cells_per_sec", lp_strip_rate);
+    w.kv("row_major_cells_per_sec", lp_row_rate);
+    w.kv("strip_vs_row_major_speedup", lp_strip_rate / lp_row_rate);
     w.kv("device_cycles_identical",
-         lp_wave == lp_fast && lp_wave == lp_diag);
+         lp_wave == lp_strip && lp_wave == lp_row);
     w.endObject();
 
     // Length-aware lane grouping on a mixed-length batch (the
@@ -1113,12 +1119,12 @@ writeJson(const std::string &path)
                 "%.2fx\n",
                 sim::isaTierName(active_tier), active_rate,
                 sse2_rate > 0 ? avx2_rate / sse2_rate : 0.0);
-    std::printf("intra-pair 100kb banded: wavefront %.3g, fast %.3g, "
-                "diag-simd %.3g band cells/s (%.2fx vs wavefront), "
+    std::printf("intra-pair 100kb banded: wavefront %.3g, strip %.3g, "
+                "row-major %.3g band cells/s (%.2fx strip vs row-major), "
                 "cycles identical: %s\n",
-                lp_wave_rate, lp_fast_rate, lp_diag_rate,
-                lp_diag_rate / lp_wave_rate,
-                lp_wave == lp_fast && lp_wave == lp_diag ? "yes" : "NO");
+                lp_wave_rate, lp_strip_rate, lp_row_rate,
+                lp_strip_rate / lp_row_rate,
+                lp_wave == lp_strip && lp_wave == lp_row ? "yes" : "NO");
     std::printf("mixed-length lanes: unsorted %.3g, sorted %.3g useful "
                 "cells/s (%.2fx), cycles identical: %s -> %s\n",
                 unsorted_rate, sorted_rate, sorted_rate / unsorted_rate,

@@ -210,10 +210,10 @@ class AlignBackend
  * Each shard runs as one producer feeding one consumer (runStages).
  * The producer walks the shard (sorted by (qlen, rlen, index) when
  * lane groups form), replays cache hits, fills full lane groups with
- * fillLanes() and single pairs with fillStage(); a single long enough
- * for the intra-pair DiagSimd path (or one on the wavefront path)
- * finishes in the producer. The consumer runs traceback, cache insert
- * and writeback, then hands the traceback bank back for the next fill.
+ * fillLanes() and single pairs with fillStage() (the engine's strip
+ * sweep); a single on the wavefront path finishes in the producer. The
+ * consumer runs traceback, cache insert and writeback, then hands the
+ * traceback bank back for the next fill.
  * Results and per-job cycles are the engine's, bit for bit, at every
  * lane width and consumer placement; the arbiter runs in shard order,
  * so channel accounting is grouping-independent too.
@@ -230,19 +230,13 @@ class DeviceChannelBackend : public AlignBackend<K>
     DeviceChannelBackend(const sim::EngineConfig &ecfg, const Params &params,
                          int nb, uint64_t host_overhead_cycles,
                          double fmax_mhz, ShardedResultCache<Result> *cache,
-                         int lane_width = 1, bool sort_by_length = true,
-                         bool intra_pair_simd = false,
-                         int intra_pair_min_len = 1024)
-        : _engine(ecfg, params), _lanes(ecfg, params),
-          _diagEngine(diagConfig(ecfg), params), _params(params),
+                         int lane_width = 1, bool sort_by_length = true)
+        : _engine(ecfg, params), _lanes(ecfg, params), _params(params),
           _cache(cache), _cfgSalt(engineConfigSalt(ecfg)),
           _hostOverhead(host_overhead_cycles), _fmaxMhz(fmax_mhz),
           _blockFree(static_cast<size_t>(std::max(1, nb)), 0),
           _width(std::clamp(lane_width, 1, sim::LaneAligner<K>::maxLanes)),
-          _sortByLength(sort_by_length),
-          // Intra-pair SIMD serves lane groups of one, so it needs lanes.
-          _intraPairSimd(intra_pair_simd && _width > 1),
-          _intraPairMinLen(intra_pair_min_len)
+          _sortByLength(sort_by_length)
     {}
 
     const char *name() const override { return "device"; }
@@ -347,19 +341,12 @@ class DeviceChannelBackend : public AlignBackend<K>
                 Item item;
                 item.k = k;
                 item.key = key;
-                // A group of one has no sibling pairs to fill the SIMD
-                // lanes; a long enough pair vectorizes along its own
-                // anti-diagonals instead.
-                const bool intra = _intraPairSimd &&
-                    std::min(job.query.length(),
-                             job.reference.length()) >= _intraPairMinLen;
-                if (!intra && _engine.supportsStagedFill()) {
+                if (_engine.supportsStagedFill()) {
                     item.kind = Kind::Single;
                     item.fill = _engine.fillStage(job.query, job.reference);
                 } else {
-                    auto &engine = intra ? _diagEngine : _engine;
-                    item.res = engine.align(job.query, job.reference);
-                    item.engineCycles = engine.lastTotalCycles();
+                    item.res = _engine.align(job.query, job.reference);
+                    item.engineCycles = _engine.lastTotalCycles();
                 }
                 emit(std::move(item));
             };
@@ -467,19 +454,10 @@ class DeviceChannelBackend : public AlignBackend<K>
     }
 
   private:
-    static sim::EngineConfig
-    diagConfig(sim::EngineConfig ecfg)
-    {
-        ecfg.path = sim::EnginePath::DiagSimd;
-        ecfg.trace = nullptr; // DiagSimd has no schedule observability
-        return ecfg;
-    }
-
     bool cacheEnabled() const { return _cache && _cache->enabled(); }
 
     sim::SystolicAligner<K> _engine;
     sim::LaneAligner<K> _lanes;
-    sim::SystolicAligner<K> _diagEngine;
     Params _params;
     ShardedResultCache<Result> *_cache;
     uint64_t _cfgSalt;
@@ -488,8 +466,6 @@ class DeviceChannelBackend : public AlignBackend<K>
     std::vector<uint64_t> _blockFree;
     int _width;
     bool _sortByLength;
-    bool _intraPairSimd;
-    int _intraPairMinLen;
 };
 
 /**

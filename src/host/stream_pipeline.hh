@@ -210,24 +210,14 @@ struct BatchConfig
      */
     bool sortLanesByLength = true;
     /**
-     * Host SIMD ISA tier of the lane engines (Auto = widest the CPU
-     * supports, capped by the DPHLS_ISA_TIER env var). Dispatch-time
-     * only: results and accounting are bit-identical across tiers, so
-     * the choice never splits the result cache. An explicitly requested
-     * tier the host cannot run makes the pipeline constructor throw.
+     * Host SIMD ISA tier of the lane engines and of the strip sweep that
+     * fills single pairs (Auto = widest the CPU supports, capped by the
+     * DPHLS_ISA_TIER env var). Dispatch-time only: results and
+     * accounting are bit-identical across tiers, so the choice never
+     * splits the result cache. An explicitly requested tier the host
+     * cannot run makes the pipeline constructor throw.
      */
     sim::IsaTier isaTier = sim::IsaTier::Auto;
-    /**
-     * Vectorize single leftover jobs along their own anti-diagonals
-     * (EnginePath::DiagSimd) when a lane group of one has both lengths
-     * >= intraPairSimdMinLen: at low batch occupancy there are no
-     * sibling pairs to fill the SIMD lanes, so long pairs recover the
-     * throughput intra-pair instead. Results and cycle accounting are
-     * bit-identical either way. Ignored when laneWidth == 1.
-     */
-    bool intraPairSimd = false;
-    /** Minimum min(qlen, rlen) for the intra-pair SIMD path. */
-    int intraPairSimdMinLen = 1024;
     /**
      * Route jobs the device cannot take (qlen/rlen over the configured
      * maxima) or should not take (both dimensions under cpuFloorLen) to
@@ -876,8 +866,7 @@ class StreamPipeline
             _channels.push_back(std::make_unique<DeviceChannelBackend<K>>(
                 ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
                 _cfg.fmaxMhz, &_cache, _cfg.laneWidth,
-                _cfg.sortLanesByLength, _cfg.intraPairSimd,
-                _cfg.intraPairSimdMinLen));
+                _cfg.sortLanesByLength));
         }
         if (_cfg.cpuFallback) {
             const int cpu_threads = _cfg.cpuThreads > 0 ? _cfg.cpuThreads

@@ -16,7 +16,6 @@
 #define DPHLS_HOST_TILING_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/alignment.hh"
@@ -31,15 +30,6 @@ struct TilingConfig
 {
     int tileSize = 512;
     int tileOverlap = 128;
-    /**
-     * Run each tile through the intra-pair anti-diagonal SIMD path
-     * (EnginePath::DiagSimd): a tiled long read is one alignment at a
-     * time, so there are no sibling pairs for inter-pair lanes and the
-     * tile's own anti-diagonal parallelism is the only SIMD available.
-     * Results and cycle accounting are bit-identical to the given
-     * engine's path (kernels without a sweep fall back silently).
-     */
-    bool intraPairSimd = false;
     /**
      * Cooperative preemption flag polled between tiles (null = run to
      * completion). A tiled long read cannot overlap its stages — tile
@@ -75,7 +65,9 @@ int committedOps(const std::vector<core::AlnOp> &ops, int tile_q,
 
 /**
  * Tiled global alignment of a long pair using the given aligner (any
- * global-strategy kernel engine).
+ * global-strategy kernel engine). A tiled long read is one alignment at
+ * a time, so each tile fills on the engine's own path: on the fast
+ * path, a systolic strip on the SIMD lanes of its ISA tier.
  */
 template <core::KernelSpec K>
 TiledAlignment
@@ -87,17 +79,6 @@ tiledAlign(sim::SystolicAligner<K> &engine,
     static_assert(K::alignKind == core::AlignmentKind::Global,
                   "tiling drives a global-strategy kernel per tile");
     TiledAlignment out;
-    // Intra-pair SIMD: clone the engine's configuration onto the
-    // anti-diagonal path and run every tile through it.
-    std::unique_ptr<sim::SystolicAligner<K>> diag;
-    if (cfg.intraPairSimd) {
-        sim::EngineConfig ecfg = engine.config();
-        ecfg.path = sim::EnginePath::DiagSimd;
-        ecfg.trace = nullptr; // DiagSimd has no schedule observability
-        diag = std::make_unique<sim::SystolicAligner<K>>(ecfg,
-                                                         engine.params());
-    }
-    sim::SystolicAligner<K> &eng = diag ? *diag : engine;
     const int qlen = query.length();
     const int rlen = reference.length();
     int qi = 0;
@@ -117,8 +98,8 @@ tiledAlign(sim::SystolicAligner<K> &engine,
         rs.chars.assign(reference.chars.begin() + rj,
                         reference.chars.begin() + rj + tr);
 
-        const auto res = eng.align(qs, rs);
-        out.totalCycles += eng.lastTotalCycles();
+        const auto res = engine.align(qs, rs);
+        out.totalCycles += engine.lastTotalCycles();
         out.tiles++;
 
         const bool last = tq == qlen - qi && tr == rlen - rj;

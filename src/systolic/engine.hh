@@ -3,7 +3,7 @@
  * The DP-HLS back-end: a cycle-level linear systolic array engine.
  *
  * `SystolicAligner` executes any kernel satisfying core::KernelSpec
- * through one of three execution paths that decouple functional DP
+ * through one of two execution paths that decouple functional DP
  * computation from schedule modeling:
  *
  *  - the **wavefront reference path** (`wavefront_path.hh`) runs the
@@ -12,14 +12,12 @@
  *    preserved-row buffer, address-coalesced traceback banks, per-PE
  *    optimum tracking and reduction (Section 5.2), fixed banding via
  *    wavefront loop bounds (Section 4, step 1.6);
- *  - the **fast functional path** (`fast_path.hh`) computes the same
- *    recurrence row-major over flattened per-layer row buffers with the
- *    band handled by loop bounds — several times faster on the host;
- *  - the **anti-diagonal SIMD path** (`diag_path.hh`) vectorizes one
- *    alignment along its anti-diagonals through the runtime-dispatched
- *    ISA-tier sweeps — the host analog of the array's own wavefront
- *    parallelism, for single long pairs that cannot fill the lane
- *    engine's inter-pair lanes.
+ *  - the **fast functional path** (`fast_path.hh`) fills the same
+ *    recurrence as a systolic strip of W query rows on the SIMD lanes
+ *    of the engine's ISA tier (a scalar row-major loop at
+ *    IsaTier::Scalar), with the band handled by loop bounds — many
+ *    times faster on the host. The tier and its strip sweep are
+ *    resolved once, at construction.
  *
  * Cycle statistics are analytic functions of the wavefront trip counts
  * (`engine_common.hh`), so results AND cycle numbers are bit-identical
@@ -38,7 +36,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "systolic/diag_path.hh"
 #include "systolic/engine_common.hh"
 #include "systolic/fast_path.hh"
 #include "systolic/wavefront_path.hh"
@@ -60,13 +57,12 @@ class SystolicAligner
 
     explicit SystolicAligner(EngineConfig cfg = {},
                              Params params = K::defaultParams())
-        : _cfg(cfg), _params(params)
+        : _cfg(cfg), _params(params),
+          _strip(lookupStripSweep<K>(resolveIsaTier(cfg.isaTier)))
     {
         if (_cfg.numPe < 1)
             throw std::invalid_argument("numPe must be >= 1");
-        if ((_cfg.path == EnginePath::Fast ||
-             _cfg.path == EnginePath::DiagSimd) &&
-            _cfg.trace != nullptr)
+        if (_cfg.path == EnginePath::Fast && _cfg.trace != nullptr)
             throw std::invalid_argument(
                 "ScheduleTrace requires the wavefront path");
     }
@@ -106,17 +102,10 @@ class SystolicAligner
             throw std::invalid_argument(
                 "reference exceeds MAX_REFERENCE_LENGTH");
 
-        switch (activePath()) {
-        case EnginePath::DiagSimd:
-            return diagAlign<K>(_cfg, _params, query, reference, _stats,
-                                _diagWs, _fastWs);
-        case EnginePath::Fast:
-            return fastAlign<K>(_cfg, _params, query, reference, _stats,
-                                _fastWs);
-        default:
-            return wavefrontAlign<K>(_cfg, _params, query, reference,
-                                     _stats);
-        }
+        if (activePath() == EnginePath::Fast)
+            return fastAlign<K>(_cfg, _params, query, reference, _strip,
+                                _stats, _fastWs);
+        return wavefrontAlign<K>(_cfg, _params, query, reference, _stats);
     }
 
     /**
@@ -148,15 +137,15 @@ class SystolicAligner
         // a staged run would otherwise allocate (and first-touch fault)
         // a fresh bank per pair; reclaim the consumer's recycled one.
         if (_fastWs.tb.capacity() == 0 ||
-            _fastWs.rowBase.capacity() == 0) {
+            _fastWs.stripBase.capacity() == 0) {
             std::lock_guard lock(_spareMutex);
             if (_fastWs.tb.capacity() == 0)
                 _fastWs.tb = std::move(_spareTb);
-            if (_fastWs.rowBase.capacity() == 0)
-                _fastWs.rowBase = std::move(_spareRowBase);
+            if (_fastWs.stripBase.capacity() == 0)
+                _fastWs.stripBase = std::move(_spareStripBase);
         }
         FastFillState<K> st;
-        fastFill<K>(_cfg, _params, query, reference, _fastWs, st);
+        fastFill<K>(_cfg, _params, query, reference, _strip, _fastWs, st);
         return st;
     }
 
@@ -185,19 +174,19 @@ class SystolicAligner
         std::lock_guard lock(_spareMutex);
         if (st.tb.capacity() > _spareTb.capacity())
             _spareTb = std::move(st.tb);
-        if (st.rowBase.capacity() > _spareRowBase.capacity())
-            _spareRowBase = std::move(st.rowBase);
+        if (st.stripBase.capacity() > _spareStripBase.capacity())
+            _spareStripBase = std::move(st.stripBase);
     }
 
   private:
     EngineConfig _cfg;
     Params _params;
+    StripSweep<K> _strip;
     CycleStats _stats;
     FastWorkspace<K> _fastWs;
-    DiagWorkspace<K> _diagWs;
     std::mutex _spareMutex; //!< guards the recycled-bank pool below
     std::vector<core::TbPtr> _spareTb;
-    std::vector<int64_t> _spareRowBase;
+    std::vector<int64_t> _spareStripBase;
 };
 
 } // namespace dphls::sim

@@ -18,8 +18,9 @@
  *    fallbacks).
  *
  * Concrete paths: `wavefront_path.hh` (the cycle-faithful reference
- * schedule, required for ScheduleTrace) and `fast_path.hh` (row-major
- * functional path). `engine.hh` is the facade selecting between them.
+ * schedule, required for ScheduleTrace) and `fast_path.hh` (strip-sweep
+ * or row-major functional path). `engine.hh` is the facade selecting
+ * between them.
  */
 
 #ifndef DPHLS_SYSTOLIC_ENGINE_COMMON_HH
@@ -72,13 +73,10 @@ struct CharBits<seq::SignalSample>
  *  - Wavefront: the cycle-faithful reference schedule. Required when a
  *    ScheduleTrace is attached (it is the only path that actually visits
  *    cells in wavefront order).
- *  - Fast: cache-blocked row-major functional path; several times faster
- *    on the host, no schedule observability.
- *  - DiagSimd: intra-pair anti-diagonal SIMD path (diag_path.hh) — the
- *    cells of ONE alignment's wavefront fill the vector lanes, for
- *    single long pairs where the inter-pair lane engine can't fill its
- *    lanes. Falls back to Fast for kernels without a lane cell or when
- *    the resolved ISA tier is Scalar; no schedule observability.
+ *  - Fast: the functional path (fast_path.hh): a systolic strip of
+ *    query rows on the SIMD lanes of the configured ISA tier, or the
+ *    scalar row-major loop at IsaTier::Scalar; many times faster on
+ *    the host, no schedule observability.
  *  - Auto: Fast unless a trace sink is attached.
  */
 enum class EnginePath : uint8_t
@@ -86,7 +84,6 @@ enum class EnginePath : uint8_t
     Auto,
     Wavefront,
     Fast,
-    DiagSimd,
 };
 
 /** Configuration of one systolic block (paper front-end steps 1 and 5). */
@@ -100,7 +97,7 @@ struct EngineConfig
     CycleModelOptions cycles{}; //!< phase-overlap model
     EnginePath path = EnginePath::Auto; //!< execution-path selection
     /**
-     * Host SIMD tier for the lane/diagonal sweeps (isa_tier.hh).
+     * Host SIMD tier for the lane and strip sweeps (isa_tier.hh).
      * Dispatch-time only — every tier is bit-identical in results and
      * cycle stats, so this field is deliberately absent from
      * host::engineConfigSalt.
@@ -211,8 +208,8 @@ accountFill(const EngineConfig &cfg, int qlen, int rlen, CycleStats &stats)
 
 /**
  * In-band column range of row @p i when the band is applied as loop
- * bounds (row-major paths). Must agree with the wavefront validity
- * predicate |i - j| <= band.
+ * bounds (the fast path and the lane engine). Must agree with the
+ * wavefront validity predicate |i - j| <= band.
  */
 template <core::KernelSpec K>
 inline int
@@ -229,25 +226,52 @@ bandJHi(int i, int rlen, int band)
 }
 
 /**
- * Band-compressed traceback-bank layout shared by the row-major paths:
- * row i's cells live at row_base[i] + (j - bandJLo(i)). Returns the
- * total cell count so the bank can be sized exactly once.
+ * Band-compressed traceback-bank layout of a fill that runs query rows
+ * in strips of @p lanes rows (the strip sweep's W; 1 for a row-major
+ * fill). Strip s holds rows sW+1..sW+W, and cell (i, j) of its lane
+ * k = i - sW - 1 lives at base[s] + (j + k - bandJLo(sW + 1)) * W + k:
+ * one W-cell vector per step of the strip's band window, steps
+ * bandJLo(sW + 1) through bandJHi(last row) + last lane. At W = 1 that
+ * is row i's in-band cells at base[i - 1] + (j - bandJLo(i)). Strips
+ * from the first one whose first row lies wholly outside the band are
+ * empty. Returns the total cell count so the bank is sized once.
  */
 template <core::KernelSpec K>
 inline int64_t
-buildTbRowBase(int qlen, int rlen, int band,
-               std::vector<int64_t> &row_base)
+buildTbStripBase(int qlen, int rlen, int band, int lanes,
+                 std::vector<int64_t> &base)
 {
-    row_base.assign(static_cast<size_t>(qlen + 1), 0);
+    const int strips = (qlen + lanes - 1) / lanes;
+    base.assign(static_cast<size_t>(strips), 0);
     int64_t off = 0;
-    for (int i = 1; i <= qlen; i++) {
-        row_base[static_cast<size_t>(i)] = off;
-        const int width =
-            bandJHi<K>(i, rlen, band) - bandJLo<K>(i, band) + 1;
-        if (width > 0)
-            off += width;
+    for (int s = 0; s < strips; s++) {
+        base[static_cast<size_t>(s)] = off;
+        const int first = s * lanes + 1;
+        const int last_lane = std::min(lanes, qlen - first + 1) - 1;
+        const int jlo = bandJLo<K>(first, band);
+        if (jlo > bandJHi<K>(first, rlen, band))
+            continue;
+        const int steps =
+            bandJHi<K>(first + last_lane, rlen, band) + last_lane - jlo + 1;
+        off += static_cast<int64_t>(steps) * lanes;
     }
     return off;
+}
+
+/**
+ * Bank index of cell (i, j) in the buildTbStripBase layout, W = 1 <<
+ * @p lane_shift.
+ */
+template <core::KernelSpec K>
+inline int64_t
+tbStripIndex(const std::vector<int64_t> &base, int lane_shift, int band,
+             int i, int j)
+{
+    const int s = (i - 1) >> lane_shift;
+    const int k = (i - 1) & ((1 << lane_shift) - 1);
+    const int jlo = bandJLo<K>((s << lane_shift) + 1, band);
+    return base[static_cast<size_t>(s)] +
+           (static_cast<int64_t>(j + k - jlo) << lane_shift) + k;
 }
 
 /** Cells eligible for optimum tracking under the traceback strategy. */

@@ -1,27 +1,37 @@
 /**
  * @file
- * The row-major fast functional path of the systolic engine.
+ * The fast functional path of the systolic engine.
  *
  * The wavefront schedule in `wavefront_path.hh` is what the hardware
  * executes, but its cycle statistics are *analytic* (trip-count formulas
  * over the chunk bounds) — nothing about the cycle numbers requires the
  * host simulator to actually visit cells in wavefront order. This path
- * exploits that: it computes the same recurrence cache-blocked and
- * row-major over two flattened per-layer row buffers, handles the fixed
- * band with loop bounds instead of per-cell validity branches, writes
- * traceback pointers into one pre-reserved band-compressed bank, and
- * reproduces the PE reduction exactly (first optimum in (row, col)
- * scan order, which is what the per-PE tracking plus the reduction
- * tree's tie-break produce).
+ * exploits that. Its fill runs one of two loops over the same
+ * recurrence, both handling the fixed band with loop bounds instead of
+ * per-cell validity branches and writing traceback pointers into one
+ * pre-reserved band-compressed bank (buildTbStripBase):
  *
- * Equivalence argument (enforced by tests/test_fastpath_equivalence.cc):
+ *  - the strip sweep (lane_sweep_impl.hh), at every SIMD tier: W query
+ *    rows ride the W lanes of the engine's ISA tier, the reference
+ *    shifts through them one column per step, and the strip's last row
+ *    carries into the next strip — DP-HLS's PE array (Fig. 2C) on SIMD
+ *    lanes;
+ *  - the scalar row-major loop, at IsaTier::Scalar, for kernels
+ *    without a lane cell, and on builds without vector extensions.
+ *
+ * Both reproduce the PE reduction exactly: first optimum in (row, col)
+ * scan order, which is what the per-PE tracking plus the reduction
+ * tree's tie-break produce.
+ *
+ * Equivalence argument (enforced by tests/test_fastpath_equivalence.cc
+ * at every tier):
  *
  *  - kernel PE functions depend only on the three neighbor scores and
  *    the two characters, never on the schedule;
  *  - the wavefront path feeds `worst` for every neighbor outside the
  *    band (invalid cells write `worst`, stale preserved-row entries
- *    fetch `worst`), which is exactly the boundary value this path
- *    maintains at the band edges;
+ *    fetch `worst`), which is exactly the boundary value both loops
+ *    maintain at the band edges;
  *  - cycle statistics are recomputed from the same trip-count formulas
  *    (`accountFill`), so they are bit-identical by construction.
  */
@@ -30,26 +40,33 @@
 #define DPHLS_SYSTOLIC_FAST_PATH_HH
 
 #include <array>
+#include <bit>
 #include <vector>
 
 #include "systolic/engine_common.hh"
+#include "systolic/lane_sweep.hh"
 
 namespace dphls::sim {
 
 /**
  * Reusable buffers of the fast path. Owning them in the aligner object
- * lets batch hosts amortize the row buffers and the traceback bank
+ * lets batch hosts amortize the fill buffers and the traceback bank
  * across alignments instead of reallocating per pair.
  */
 template <core::KernelSpec K>
 struct FastWorkspace
 {
+    /** Row-major loop: previous and current row, per layer. */
     std::array<std::vector<typename K::ScoreT>, K::nLayers> rowPrev;
     std::array<std::vector<typename K::ScoreT>, K::nLayers> rowCur;
-    /** Band-compressed traceback bank, rows concatenated. */
+    /** Strip sweep: raw character planes and init column (see
+     *  StripSweepArgs), and the carried rows, per layer. */
+    std::vector<int32_t> qPlanes, rPlanes, colInit;
+    std::array<std::vector<int32_t>, K::nLayers> rows;
+    /** Band-compressed traceback bank (buildTbStripBase layout). */
     std::vector<core::TbPtr> tb;
-    /** Offset of row i's first in-band cell inside `tb`. */
-    std::vector<int64_t> rowBase;
+    /** Offset of each strip's first cell inside `tb`. */
+    std::vector<int64_t> stripBase;
 };
 
 /**
@@ -68,47 +85,36 @@ struct FastFillState
     int qlen = 0;
     int rlen = 0;
     int band = 0;
+    int lanes = 1; //!< strip height W of the bank layout
     bool keepTb = false;
     bool found = false;
     typename K::ScoreT bestScore{};
     core::Coord bestCell{};
     CycleStats stats;
     std::vector<core::TbPtr> tb;
-    std::vector<int64_t> rowBase;
+    std::vector<int64_t> stripBase;
 };
 
-/** Fill stage of the fast path: DP fill + optimum tracking, no traceback. */
+/**
+ * Scalar row-major fill into a bank sized for W = 1; sets the state's
+ * optimum.
+ */
 template <core::KernelSpec K>
 void
-fastFill(const EngineConfig &cfg, const typename K::Params &params,
-         const seq::Sequence<typename K::CharT> &query,
-         const seq::Sequence<typename K::CharT> &reference,
-         FastWorkspace<K> &ws, FastFillState<K> &st)
+rowMajorFill(const typename K::Params &params,
+             const seq::Sequence<typename K::CharT> &query,
+             const seq::Sequence<typename K::CharT> &reference, int band,
+             bool keep_tb, FastWorkspace<K> &ws, FastFillState<K> &st)
 {
-    CycleStats &stats = st.stats;
     using ScoreT = typename K::ScoreT;
     constexpr int nLayers = K::nLayers;
 
     const int qlen = query.length();
     const int rlen = reference.length();
-    const int band = cfg.bandWidth;
     const auto worst = core::scoreSentinelWorst<ScoreT>(K::objective);
-    const bool keep_tb = K::hasTraceback && !cfg.skipTraceback;
-
-    stats = CycleStats{};
-    accountLoadInit<K>(cfg, qlen, rlen, stats);
-    accountFill<K>(cfg, qlen, rlen, stats);
 
     const auto j_lo = [&](int i) { return bandJLo<K>(i, band); };
     const auto j_hi = [&](int i) { return bandJHi<K>(i, rlen, band); };
-
-    // Pre-reserve the whole traceback bank once: row offsets are the
-    // running sum of in-band row widths (the address-coalescing analog).
-    if (keep_tb) {
-        const int64_t cells =
-            buildTbRowBase<K>(qlen, rlen, band, ws.rowBase);
-        ws.tb.resize(static_cast<size_t>(cells));
-    }
 
     // Row score buffers: previous and current row, per layer. Row 0 is
     // the init row; column 0 carries the init column value of the row.
@@ -174,9 +180,9 @@ fastFill(const EngineConfig &cfg, const typename K::Params &params,
             inb.row = b;
             core::TbPtr *tb_data = keep_tb ? ws.tb.data() : nullptr;
             const int64_t tba =
-                keep_tb ? ws.rowBase[static_cast<size_t>(a)] - 1 : 0;
+                keep_tb ? ws.stripBase[static_cast<size_t>(a - 1)] - 1 : 0;
             const int64_t tbb =
-                keep_tb ? ws.rowBase[static_cast<size_t>(b)] - 1 : 0;
+                keep_tb ? ws.stripBase[static_cast<size_t>(b - 1)] - 1 : 0;
 
             // In-row optimum tracking: first candidate unconditionally
             // (j == 1), then strictly-better only — the per-row merge
@@ -287,7 +293,7 @@ fastFill(const EngineConfig &cfg, const typename K::Params &params,
         in.row = i;
         core::TbPtr *tb_data = keep_tb ? ws.tb.data() : nullptr;
         const int64_t tb_base =
-            keep_tb ? ws.rowBase[static_cast<size_t>(i)] - jlo : 0;
+            keep_tb ? ws.stripBase[static_cast<size_t>(i - 1)] - jlo : 0;
 
         for (int j = jlo; j <= jhi; j++) {
             for (int l = 0; l < nLayers; l++)
@@ -335,15 +341,135 @@ fastFill(const EngineConfig &cfg, const typename K::Params &params,
         }
     }
 
-    st.qlen = qlen;
-    st.rlen = rlen;
-    st.band = band;
-    st.keepTb = keep_tb;
     st.found = found;
     st.bestScore = best_score;
     st.bestCell = core::Coord{best_i, best_j};
+}
+
+/**
+ * Strip-sweep fill through @p fn into a bank sized for its W: marshal
+ * the pair into the sweep's raw layout (StripSweepArgs), seed the
+ * carried rows with the init row, and set the state's optimum.
+ */
+template <core::KernelSpec K>
+void
+stripFill(StripSweepFn<K> fn, const typename K::Params &params,
+          const seq::Sequence<typename K::CharT> &query,
+          const seq::Sequence<typename K::CharT> &reference, int band,
+          bool keep_tb, FastWorkspace<K> &ws, FastFillState<K> &st)
+{
+    using ScoreTr = LaneScoreTraits<typename K::ScoreT>;
+    using CharTr = LaneCharTraits<typename K::CharT>;
+    constexpr int nLayers = K::nLayers;
+    constexpr int planes = CharTr::planes;
+    const int qlen = query.length();
+    const int rlen = reference.length();
+    const int32_t worst_raw = ScoreTr::toRaw(
+        core::scoreSentinelWorst<typename K::ScoreT>(K::objective));
+
+    const size_t q_stride = static_cast<size_t>(qlen) + kMaxSweepLanes;
+    const size_t r_stride = static_cast<size_t>(rlen) + 1 + kMaxSweepLanes;
+    ws.qPlanes.assign(q_stride * planes, 0);
+    ws.rPlanes.assign(r_stride * planes, 0);
+    for (int pl = 0; pl < planes; pl++) {
+        int32_t *q = ws.qPlanes.data() + static_cast<size_t>(pl) * q_stride;
+        int32_t *r = ws.rPlanes.data() + static_cast<size_t>(pl) * r_stride;
+        for (int i = 0; i < qlen; i++)
+            q[i] = CharTr::plane(query[i], pl);
+        for (int j = 0; j < rlen; j++)
+            r[j + 1] = CharTr::plane(reference[j], pl);
+    }
+    ws.colInit.resize(static_cast<size_t>(qlen + 1) * nLayers);
+    for (int i = 1; i <= qlen; i++)
+        for (int l = 0; l < nLayers; l++)
+            ws.colInit[static_cast<size_t>(i * nLayers + l)] =
+                ScoreTr::toRaw(K::initColScore(i, l, params));
+    std::array<int32_t *, nLayers> rows{};
+    for (int l = 0; l < nLayers; l++) {
+        auto &row = ws.rows[static_cast<size_t>(l)];
+        row.assign(r_stride, worst_raw);
+        row[0] = ScoreTr::toRaw(K::originScore(l, params));
+        for (int j = 1; j <= rlen; j++)
+            row[static_cast<size_t>(j)] =
+                ScoreTr::toRaw(K::initRowScore(j, l, params));
+        rows[static_cast<size_t>(l)] = row.data();
+    }
+
+    int32_t found = 0, best = 0, best_i = 0, best_j = 0;
+    StripSweepArgs<K> a;
+    a.qlen = qlen;
+    a.rlen = rlen;
+    a.band = band;
+    a.worstRaw = worst_raw;
+    a.keepTb = keep_tb;
+    a.track = true;
+    a.q32 = ws.qPlanes.data();
+    a.r32 = ws.rPlanes.data();
+    a.qStride = q_stride;
+    a.rStride = r_stride;
+    a.colInit = ws.colInit.data();
+    a.rows = rows.data();
+    a.tb = ws.tb.data();
+    a.stripBase = ws.stripBase.data();
+    a.params = &params;
+    a.found = &found;
+    a.bestRaw = &best;
+    a.bestI = &best_i;
+    a.bestJ = &best_j;
+    fn(a);
+    st.found = found != 0;
+    st.bestScore = ScoreTr::fromRaw(best);
+    st.bestCell = core::Coord{best_i, best_j};
+}
+
+/**
+ * Fill stage of the fast path: DP fill + optimum tracking, no
+ * traceback. Runs @p sweep's strips when it has one, else the
+ * row-major loop.
+ */
+template <core::KernelSpec K>
+void
+fastFill(const EngineConfig &cfg, const typename K::Params &params,
+         const seq::Sequence<typename K::CharT> &query,
+         const seq::Sequence<typename K::CharT> &reference,
+         const StripSweep<K> &sweep, FastWorkspace<K> &ws,
+         FastFillState<K> &st)
+{
+    const int qlen = query.length();
+    const int rlen = reference.length();
+    const int band = cfg.bandWidth;
+    const bool keep_tb = K::hasTraceback && !cfg.skipTraceback;
+    const int lanes = sweep.fn ? sweep.lanes : 1;
+
+    st.stats = CycleStats{};
+    accountLoadInit<K>(cfg, qlen, rlen, st.stats);
+    accountFill<K>(cfg, qlen, rlen, st.stats);
+
+    // Pre-reserve the whole traceback bank once: strip offsets are the
+    // running sum of band-window sizes (the address-coalescing analog).
+    if (keep_tb) {
+        const int64_t cells =
+            buildTbStripBase<K>(qlen, rlen, band, lanes, ws.stripBase);
+        ws.tb.resize(static_cast<size_t>(cells));
+    }
+    bool swept = false;
+    if constexpr (laneSweepEnabled<K>) {
+        if (sweep.fn) {
+            stripFill<K>(sweep.fn, params, query, reference, band, keep_tb,
+                         ws, st);
+            swept = true;
+        }
+    }
+    if (!swept)
+        rowMajorFill<K>(params, query, reference, band, keep_tb, ws, st);
+
+    st.qlen = qlen;
+    st.rlen = rlen;
+    st.band = band;
+    st.lanes = lanes;
+    st.keepTb = keep_tb;
     st.tb = std::move(ws.tb);
-    st.rowBase = std::move(ws.rowBase);
+    st.stripBase = std::move(ws.stripBase);
 }
 
 /** Traceback stage over a fill state; adds its cycles into `st.stats`. */
@@ -354,33 +480,35 @@ fastTraceback(const EngineConfig &cfg, const typename K::Params &params,
 {
     const int band = st.band;
     const int rlen = st.rlen;
+    const int lane_shift =
+        std::countr_zero(static_cast<unsigned>(st.lanes));
     const auto fetch = [&](int i, int j) {
-        const int jlo = bandJLo<K>(i, band);
-        if (j < jlo || j > bandJHi<K>(i, rlen, band))
+        if (j < bandJLo<K>(i, band) || j > bandJHi<K>(i, rlen, band))
             return core::TbPtr{};
         return st.tb[static_cast<size_t>(
-            st.rowBase[static_cast<size_t>(i)] + (j - jlo))];
+            tbStripIndex<K>(st.stripBase, lane_shift, band, i, j))];
     };
     return finishResult<K>(cfg, params, st.qlen, st.rlen, st.found,
                            st.bestScore, st.bestCell, st.keepTb, fetch,
                            st.stats);
 }
 
-/** Align one pair on the row-major fast path. */
+/** Align one pair on the fast path. */
 template <core::KernelSpec K>
 core::AlignResult<typename K::ScoreT>
 fastAlign(const EngineConfig &cfg, const typename K::Params &params,
           const seq::Sequence<typename K::CharT> &query,
           const seq::Sequence<typename K::CharT> &reference,
-          CycleStats &stats, FastWorkspace<K> &ws)
+          const StripSweep<K> &sweep, CycleStats &stats,
+          FastWorkspace<K> &ws)
 {
     FastFillState<K> st;
-    fastFill<K>(cfg, params, query, reference, ws, st);
+    fastFill<K>(cfg, params, query, reference, sweep, ws, st);
     auto res = fastTraceback<K>(cfg, params, st);
     stats = st.stats;
     // Hand the bank back so batch hosts keep amortizing allocations.
     ws.tb = std::move(st.tb);
-    ws.rowBase = std::move(st.rowBase);
+    ws.stripBase = std::move(st.stripBase);
     return res;
 }
 

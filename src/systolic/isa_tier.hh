@@ -2,19 +2,20 @@
  * @file
  * Runtime ISA-tier selection for the host SIMD paths.
  *
- * The lane engine's sweep bodies are compiled once per ISA tier (SSE2
+ * The lane and strip sweep bodies are compiled once per ISA tier (SSE2
  * baseline, AVX2, AVX-512) into separate translation units with the
  * matching -m flags; at runtime the widest tier the CPU supports is
  * picked once via CPUID and dispatched through the sweep registry
  * (`lane_sweep.hh`). The tier is a *dispatch-time* property, never a
  * result-affecting one: every tier computes bit-identical scores,
- * CIGARs and cycle statistics (enforced by tests/test_isa_tiers.cc),
- * so it deliberately stays out of `engineConfigSalt`.
+ * CIGARs and cycle statistics (enforced by tests/test_isa_tiers.cc and
+ * tests/test_fastpath_equivalence.cc), so it deliberately stays out of
+ * `engineConfigSalt`.
  *
- * `IsaTier::Scalar` forces the per-lane scalar fallback loop (no vector
- * sweep at all) and exists for differential testing; `Auto` resolves to
- * the widest supported tier. The `DPHLS_ISA_TIER` environment variable
- * caps what `Auto` resolves to (used by the forced-sse2 CI job).
+ * `IsaTier::Scalar` forces the scalar fallback loops (no vector sweep
+ * at all) and exists for differential testing; `Auto` resolves to the
+ * widest supported tier. The `DPHLS_ISA_TIER` environment variable
+ * caps what `Auto` resolves to (used by the forced-tier CI job).
  */
 
 #ifndef DPHLS_SYSTOLIC_ISA_TIER_HH

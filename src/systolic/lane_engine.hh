@@ -224,7 +224,7 @@ class LaneAligner
             if (fj < flo || fj > bandJHi<K>(fi, st.maxr, st.band))
                 return core::TbPtr{};
             return st.tb[static_cast<size_t>(
-                             st.rowBase[static_cast<size_t>(fi)] +
+                             st.rowBase[static_cast<size_t>(fi - 1)] +
                              (fj - flo)) *
                              static_cast<size_t>(st.packW) +
                          lu];
@@ -343,10 +343,10 @@ class LaneAligner
         std::vector<int64_t> &row_base = _ws.rowBase;
         if (keep_tb) {
             const int64_t cells =
-                buildTbRowBase<K>(maxq, maxr, band, row_base);
+                buildTbStripBase<K>(maxq, maxr, band, 1, row_base);
             tb.resize(static_cast<size_t>(cells) * W);
         } else {
-            row_base.assign(static_cast<size_t>(maxq + 1), 0);
+            row_base.assign(static_cast<size_t>(maxq), 0);
         }
 
         std::array<uint8_t, W> found{};
@@ -590,7 +590,7 @@ class LaneAligner
             const CharT *qv = qch.data() + static_cast<size_t>(i - 1) * W;
             core::TbPtr *tb_row = keep_tb
                 ? tb.data() + static_cast<size_t>(
-                      row_base[static_cast<size_t>(i)]) * W
+                      row_base[static_cast<size_t>(i - 1)]) * W
                 : tb_scratch.data();
             const size_t tb_stride = keep_tb ? W : 0;
 

@@ -3,9 +3,11 @@
  * Tier-compiled SIMD sweeps: the contract between the baseline-compiled
  * engines and the per-ISA-tier sweep translation units.
  *
- * The hot vector loops of the lane engine (inter-pair lockstep rows),
- * the diagonal path (intra-pair anti-diagonal) and the streaming sDTW
- * (row-carrying query strips, workloads/sdtw_stream.hh) live in
+ * There are two sweep kinds. The lane sweep runs the lane engine's
+ * inter-pair lockstep rows. The strip sweep fills one pair as a
+ * systolic strip of query rows, one row per lane; it is the fast path's
+ * fill (fast_path.hh) and the streaming sDTW's row update
+ * (workloads/sdtw_stream.hh). Both live in
  * `lane_sweep_impl.hh`, which is compiled three times with different
  * `-m` flags (lane_sweep_{sse2,avx2,avx512}.cc). Each TU registers its
  * instantiations in a type-erased registry keyed by (kernel, width,
@@ -263,7 +265,7 @@ struct LaneSweepArgs
     int32_t *const *rowCur = nullptr;
     core::TbPtr *tb = nullptr;        //!< bank base ([cell][W])
     core::TbPtr *tbScratch = nullptr; //!< one [W] slot when !keepTb
-    const int64_t *rowBase = nullptr; //!< per-row bank offsets
+    const int64_t *rowBase = nullptr; //!< row i's bank offset at [i-1]
     const int32_t *qlen = nullptr;    //!< [W] per-lane query lengths
     const int32_t *rlen = nullptr;    //!< [W] per-lane reference lengths
     const typename K::Params *params = nullptr;
@@ -275,35 +277,45 @@ struct LaneSweepArgs
 };
 
 /**
- * Intra-pair anti-diagonal sweep inputs/outputs (one long alignment,
- * lanes run along the anti-diagonal). Character planes are plane-major
- * with the reference stored reversed so both operands of a diagonal
- * load contiguously; both carry >= kMaxSweepLanes zeroed slack entries
- * so overhanging tail-lane loads stay in bounds (zero is a valid
- * character code for the gather-style cells). The three rotating
- * diagonal buffers are (qlen + 2 + kMaxSweepLanes) slots per layer.
+ * Strip sweep inputs/outputs: DP-HLS's query chunking (Fig. 2C) on SIMD
+ * lanes, for one pair. The sweep fills query rows 1..qlen in strips of
+ * W rows (W = isaTierLanes of the registered tier), one row per lane,
+ * with the reference streaming through the lanes. `rows` holds the DP
+ * row above the first strip on entry (the init row, or a streamed
+ * row); between strips it carries each strip's last row, and on return
+ * it holds row qlen over that row's band window, updated in place.
+ *
+ * Character planes are plane-major with at least kMaxSweepLanes zeroed
+ * slack entries past their last character, so the last strip's loads
+ * stay in bounds: query entry i - 1 is row i, reference entry j is
+ * column j (entry 0 is padding). The carried rows carry the same slack
+ * past column rlen.
+ *
+ * With `keepTb`, cell (i, j) of lane k = (i-1) % W in strip
+ * s = (i-1) / W lands at tb[stripBase[s] + (j + k - jlo(sW + 1)) * W + k]
+ * (buildTbStripBase in engine_common.hh). With `track`, the outputs are
+ * the first strictly-best eligible cell in (row, col) order; Global and
+ * SemiGlobal kernels track only the strip holding row qlen.
  */
 template <typename K>
-struct DiagSweepArgs
+struct StripSweepArgs
 {
-    int qlen = 0;
+    int qlen = 0;            //!< rows to fill
     int rlen = 0;
-    int band = 0;
-    int32_t worstRaw = 0;
-    bool keepTb = false;
-    const int32_t *q32 = nullptr;    //!< [planes][qlen + slack]
-    const int32_t *rrev32 = nullptr; //!< [planes][rlen + slack], reversed
-    size_t qStride = 0;              //!< plane stride of q32
-    size_t rStride = 0;              //!< plane stride of rrev32
-    const int32_t *rowInit = nullptr; //!< [(rlen+1)][nLayers] raw
-    const int32_t *colInit = nullptr; //!< [(qlen+1)][nLayers] raw; [0]=origin
-    int32_t *const *d2 = nullptr;     //!< diagonal d-2, nLayers buffers
-    int32_t *const *d1 = nullptr;     //!< diagonal d-1
-    int32_t *const *cur = nullptr;    //!< diagonal d (scratch)
-    core::TbPtr *tb = nullptr;        //!< band-compressed bank, [cell]
-    const int64_t *rowBase = nullptr;
+    int band = 0;            //!< band half-width (banded kernels)
+    int32_t worstRaw = 0;    //!< sentinel-worst score, raw form
+    bool keepTb = false;     //!< store traceback pointers
+    bool track = false;      //!< track the optimum
+    const int32_t *q32 = nullptr; //!< [planes][qStride] query planes
+    const int32_t *r32 = nullptr; //!< [planes][rStride] reference planes
+    size_t qStride = 0;
+    size_t rStride = 0;
+    const int32_t *colInit = nullptr; //!< [(qlen+1)][nLayers] raw
+    int32_t *const *rows = nullptr;   //!< nLayers carried rows, in/out
+    core::TbPtr *tb = nullptr;        //!< traceback bank
+    const int64_t *stripBase = nullptr; //!< per-strip bank offsets
     const typename K::Params *params = nullptr;
-    // Outputs (single pair).
+    // Outputs (when tracking).
     int32_t *found = nullptr;
     int32_t *bestRaw = nullptr;
     int32_t *bestI = nullptr;
@@ -311,33 +323,12 @@ struct DiagSweepArgs
 };
 
 /**
- * Row-carrying strip sweep inputs/outputs: one strip of W consecutive
- * query rows (W = isaTierLanes of the registered tier), one row per
- * lane, against the whole reference. `row` is the DP row above the
- * strip on entry and the strip's last row on return, updated in place;
- * its column 0 leaves as `worstRaw`, the kernel's sentinel left column.
- */
-template <typename K>
-struct StripSweepArgs
-{
-    int rlen = 0;
-    int32_t worstRaw = 0;           //!< sentinel left column, raw form
-    const int32_t *q32 = nullptr;   //!< [W] the strip's query samples
-    const int32_t *r32 = nullptr;   //!< [rlen] reference samples
-    int32_t *row = nullptr;         //!< [rlen + 1] carried row, in/out
-    const typename K::Params *params = nullptr;
-};
-
-/**
- * Registry keys: typeid(LaneSweepTag<K, W>) / typeid(DiagSweepTag<K, W>)
- * / typeid(StripSweepTag<K>). A strip sweep is registered once per tier,
- * at that tier's native width.
+ * Registry keys: typeid(LaneSweepTag<K, W>) / typeid(StripSweepTag<K>).
+ * A strip sweep is registered once per tier, at that tier's native
+ * width.
  */
 template <typename K, int W>
 struct LaneSweepTag
-{};
-template <typename K, int W>
-struct DiagSweepTag
 {};
 template <typename K>
 struct StripSweepTag
@@ -346,11 +337,9 @@ struct StripSweepTag
 template <typename K>
 using LaneSweepFn = void (*)(const LaneSweepArgs<K> &);
 template <typename K>
-using DiagSweepFn = void (*)(const DiagSweepArgs<K> &);
-template <typename K>
 using StripSweepFn = void (*)(const StripSweepArgs<K> &);
 
-/** Type-erased sweep entry point (cast back via Lane/Diag/StripSweepFn). */
+/** Type-erased sweep entry point (cast back via Lane/StripSweepFn). */
 using SweepFnErased = void (*)();
 
 /** Called by the tier TUs' static registrars (thread-safe after main). */
@@ -369,21 +358,25 @@ lookupLaneSweep(IsaTier tier)
         lookupSweep(typeid(LaneSweepTag<K, W>), tier));
 }
 
-template <typename K, int W>
-DiagSweepFn<K>
-lookupDiagSweep(IsaTier tier)
-{
-    return reinterpret_cast<DiagSweepFn<K>>(
-        lookupSweep(typeid(DiagSweepTag<K, W>), tier));
-}
-
-/** The strip sweep of @p tier; its strips are isaTierLanes(tier) high. */
+/** A kernel's strip sweep at one tier, and the height of its strips. */
 template <typename K>
-StripSweepFn<K>
+struct StripSweep
+{
+    StripSweepFn<K> fn = nullptr; //!< null: fill with a scalar loop
+    int lanes = 1;                //!< W, isaTierLanes of the tier
+};
+
+/**
+ * The strip sweep of resolved tier @p tier. Misses (fn null) at
+ * IsaTier::Scalar and for kernels outside the registry.
+ */
+template <typename K>
+StripSweep<K>
 lookupStripSweep(IsaTier tier)
 {
-    return reinterpret_cast<StripSweepFn<K>>(
+    const auto fn = reinterpret_cast<StripSweepFn<K>>(
         lookupSweep(typeid(StripSweepTag<K>), tier));
+    return {fn, fn ? isaTierLanes(tier) : 1};
 }
 
 } // namespace dphls::sim

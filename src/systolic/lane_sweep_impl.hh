@@ -9,8 +9,8 @@
  *
  * before including this file, and is compiled with the matching -m
  * flags. A static registrar publishes the instantiations (all registry
- * kernels x widths up to native, plus the sDTW strip sweep at native
- * width) into the sweep registry; everything
+ * kernels: lane sweeps at every width up to native, strip sweeps at
+ * native width) into the sweep registry; everything
  * here lives in a tier-specific namespace and every helper it calls is
  * force-inlined, so no tier's instructions can leak into another TU
  * through COMDAT folding.
@@ -20,12 +20,11 @@
  *  - laneSweep: the lane engine's lockstep row loop (inter-pair SIMD),
  *    identical to LaneAligner's scalar per-lane fallback in visit
  *    order, boundary handling and optimum masking.
- *  - diagSweep: the intra-pair anti-diagonal loop (diag_path.hh),
- *    whose optimum reduction re-establishes the scalar paths'
- *    first-optimum-in-(row,col)-order semantics explicitly, because
- *    anti-diagonal visit order differs from row-major.
- *  - stripSweep: the streaming sDTW's row update (sdtw_stream.hh), W
- *    query rows at a time as a systolic strip over a carried row.
+ *  - stripSweep: one pair's fill, W query rows at a time as a systolic
+ *    strip over a carried row (fast_path.hh, sdtw_stream.hh). Each
+ *    lane sees exactly the neighbour values of the row-major fill, and
+ *    its per-lane optimum merges in row order, so it reproduces that
+ *    fill's scores, pointers and first optimum in (row, col) order.
  */
 
 #ifndef DPHLS_SWEEP_NS
@@ -33,6 +32,7 @@
 #endif
 
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "kernels/all.hh"
@@ -135,7 +135,7 @@ laneSweep(const LaneSweepArgs<K> &a)
         }
 
         core::TbPtr *tb_row =
-            a.keepTb ? a.tb + static_cast<size_t>(a.rowBase[i]) * W
+            a.keepTb ? a.tb + static_cast<size_t>(a.rowBase[i - 1]) * W
                      : a.tbScratch;
         const size_t tb_stride = a.keepTb ? W : 0;
         const V vi = simd::splat<V>(i);
@@ -201,176 +201,6 @@ laneSweep(const LaneSweepArgs<K> &a)
 }
 
 /**
- * Intra-pair anti-diagonal sweep: one alignment, W cells of each
- * anti-diagonal advance in lockstep. Cell (i, j) of diagonal d = i + j
- * lives at slot i of that diagonal's buffer, so the dependencies are
- *
- *   up   (i-1, j)   -> diagonal d-1, slot i-1
- *   left (i,   j-1) -> diagonal d-1, slot i
- *   diag (i-1, j-1) -> diagonal d-2, slot i-1
- *
- * and a chunk of W consecutive i values loads each operand as one
- * (unaligned) vector. Boundary slots (i == 0 and j == 0) are refreshed
- * after every diagonal from the precomputed init tables; out-of-band /
- * out-of-matrix slots hold the sentinel-worst value, exactly what the
- * row-sweep engines expose to their in-band neighbours, so every cell
- * consumes bit-identical inputs to the scalar row-major engine.
- *
- * The per-diagonal compute range [ilo, ihi] is nondecreasing in ilo
- * and grows by at most one cell per diagonal in ihi, so writing slots
- * [ilo-1, ihi+1] each diagonal covers every future read of that
- * buffer; diagonals with no in-band cells (odd diagonals at band 0)
- * still refresh their two boundary/sentinel slots.
- */
-template <typename K, int W>
-void
-diagSweep(const DiagSweepArgs<K> &a)
-{
-    using V = typename simd::VecPack<W>::I32;
-    constexpr int nLayers = K::nLayers;
-    constexpr int planes = LaneCharTraits<typename K::CharT>::planes;
-
-    const int qlen = a.qlen, rlen = a.rlen, band = a.band;
-    const V worst = simd::splat<V>(a.worstRaw);
-    const V vql = simd::splat<V>(qlen);
-    const V vrl = simd::splat<V>(rlen);
-    V iota{};
-    for (int k = 0; k < W; k++)
-        iota[k] = k;
-
-    int32_t *d2[nLayers], *d1[nLayers], *cur[nLayers];
-    for (int l = 0; l < nLayers; l++) {
-        d2[l] = a.d2[l];
-        d1[l] = a.d1[l];
-        cur[l] = a.cur[l];
-    }
-
-    V vbs{}, vbi{}, vbj{}, vfound{};
-
-    for (int d = 2; d <= qlen + rlen; d++) {
-        int ilo = d - rlen > 1 ? d - rlen : 1;
-        int ihi = d - 1 < qlen ? d - 1 : qlen;
-        if constexpr (K::banded) {
-            // |2i - d| <= band  <=>  ceil((d-band)/2) <= i <= (d+band)/2
-            if (d - band > 0 && (d - band + 1) / 2 > ilo)
-                ilo = (d - band + 1) / 2;
-            if ((d + band) / 2 < ihi)
-                ihi = (d + band) / 2;
-        }
-
-        for (int i0 = ilo; i0 <= ihi; i0 += W) {
-            V up[nLayers], lf[nLayers], dg[nLayers], sc[nLayers];
-            for (int l = 0; l < nLayers; l++) {
-                std::memcpy(&up[l], d1[l] + (i0 - 1), sizeof(V));
-                std::memcpy(&lf[l], d1[l] + i0, sizeof(V));
-                std::memcpy(&dg[l], d2[l] + (i0 - 1), sizeof(V));
-            }
-            V qry[planes], ref[planes];
-            for (int pl = 0; pl < planes; pl++) {
-                std::memcpy(&qry[pl],
-                            a.q32 + static_cast<size_t>(pl) * a.qStride +
-                                (i0 - 1),
-                            sizeof(V));
-                std::memcpy(&ref[pl],
-                            a.rrev32 + static_cast<size_t>(pl) * a.rStride +
-                                (rlen - d + i0),
-                            sizeof(V));
-            }
-            V vptr{};
-            callLaneCell<K, V>(up, lf, dg, qry, ref, *a.params, sc, vptr);
-
-            const V vi = simd::splat<V>(i0) + iota;
-            const V vj = simd::splat<V>(d) - vi;
-            const V in_range = vi <= simd::splat<V>(ihi);
-            for (int l = 0; l < nLayers; l++) {
-                const V out = simd::sel(in_range, sc[l], worst);
-                std::memcpy(cur[l] + i0, &out, sizeof(V));
-            }
-            if (a.keepTb) {
-                const int kmax = ihi - i0 + 1 < W ? ihi - i0 + 1 : W;
-                for (int k = 0; k < kmax; k++) {
-                    const int i = i0 + k;
-                    const int j = d - i;
-                    const int jlo_row =
-                        K::banded ? (i - band > 1 ? i - band : 1) : 1;
-                    a.tb[a.rowBase[i] + (j - jlo_row)] =
-                        core::TbPtr{static_cast<uint8_t>(vptr[k])};
-                }
-            }
-
-            // Optimum reduction with an explicit row-major-first
-            // tie-break: anti-diagonal order visits a row-major-later
-            // cell before a row-major-earlier one whenever the earlier
-            // cell sits on a later diagonal, so equal scores must
-            // still prefer the (row, col)-smaller cell to reproduce
-            // the scalar engines' keep-first-optimum semantics.
-            const V cand = eligMask<K, V>(vi, vj, vql, vrl) & in_range;
-            const V v = sc[0];
-            const V is_better = K::objective == core::Objective::Maximize
-                                    ? (v > vbs)
-                                    : (v < vbs);
-            const V earlier =
-                (vi < vbi) | ((vi == vbi) & (vj < vbj));
-            const V take =
-                cand & (~vfound | is_better | ((v == vbs) & earlier));
-            vbs = simd::sel(take, v, vbs);
-            vbi = simd::sel(take, vi, vbi);
-            vbj = simd::sel(take, vj, vbj);
-            vfound |= take;
-        }
-
-        // Boundary / sentinel slots around the computed range.
-        const int wlo = ilo - 1 > 0 ? ilo - 1 : 0;
-        const int whi = ihi + 1 < qlen + 1 ? ihi + 1 : qlen + 1;
-        for (int s = wlo; s <= whi; s++) {
-            if (s >= ilo && s <= ihi)
-                continue;
-            for (int l = 0; l < nLayers; l++) {
-                int32_t raw = a.worstRaw;
-                if (s == 0 && d <= rlen)
-                    raw = a.rowInit[d * nLayers + l];
-                else if (s == d && d <= qlen)
-                    raw = a.colInit[d * nLayers + l];
-                cur[l][s] = raw;
-            }
-        }
-
-        for (int l = 0; l < nLayers; l++) {
-            int32_t *tmp = d2[l];
-            d2[l] = d1[l];
-            d1[l] = cur[l];
-            cur[l] = tmp;
-        }
-    }
-
-    // Cross-lane reduction, same row-major-first tie-break.
-    int32_t found = 0, best = 0, bi = 0, bj = 0;
-    for (int k = 0; k < W; k++) {
-        if (!vfound[k])
-            continue;
-        bool take = !found;
-        if (found) {
-            const bool better = K::objective == core::Objective::Maximize
-                                    ? vbs[k] > best
-                                    : vbs[k] < best;
-            take = better ||
-                   (vbs[k] == best &&
-                    (vbi[k] < bi || (vbi[k] == bi && vbj[k] < bj)));
-        }
-        if (take) {
-            found = 1;
-            best = vbs[k];
-            bi = vbi[k];
-            bj = vbj[k];
-        }
-    }
-    *a.found = found;
-    *a.bestRaw = best;
-    *a.bestI = bi;
-    *a.bestJ = bj;
-}
-
-/**
  * Shift @p v up one lane with @p x entering lane 0: lane 0 takes x[0]
  * and lane k takes v[k - 1]. One two-source shuffle with a constant
  * mask (a vpermt2d on AVX-512).
@@ -384,80 +214,275 @@ shiftUp(V v, V x, std::integer_sequence<int, I...>)
 }
 
 /**
- * One systolic step of the strip sweep: @p top (the carried row's R[t])
- * and @p rin (the reference sample r[t-1]) enter lane 0, and every lane
- * computes its next cell from register operands only.
+ * Per-strip constants of stripSweep. Lane k holds row first + k; a
+ * lane is live while its row is <= qlen, and the last live lane is
+ * lastLane. In band-window terms, lane k computes an in-band cell at
+ * steps [lo[k], hi[k]] = [jlo + k, jhi + k] of its row, holds its
+ * row's left edge value at step lo[k] - 1, and the sentinel elsewhere.
  */
-template <typename K, int W, typename V>
-DPHLS_SIMD_INLINE void
-stripStep(V &cur, V &up, V &ref, V qry, int32_t top, int32_t rin,
-          const typename K::Params &params)
+template <typename K, int W>
+struct StripFrame
 {
-    constexpr auto lanes = std::make_integer_sequence<int, W - 1>{};
-    const V dg = up;
-    up = shiftUp(cur, simd::splat<V>(top), lanes);
-    ref = shiftUp(ref, simd::splat<V>(rin), lanes);
-    V sc[1], ptr;
-    callLaneCell<K, V>(&up, &cur, &dg, &qry, &ref, params, sc, ptr);
-    cur = sc[0];
+    using V = typename simd::VecPack<W>::I32;
+    static constexpr int nLayers = K::nLayers;
+    static constexpr int planes = LaneCharTraits<typename K::CharT>::planes;
+
+    int first = 1;
+    int lastLane = 0;
+    int tStart = 0; //!< lane 0 at its left edge column
+    int tEnd = 0;   //!< last live lane at its last in-band column
+    int64_t tb0 = 0; //!< bank index of step 0, lane 0
+    V vi{}, lo{}, loEdge{}, hi{};
+    V edge[nLayers];
+    V qry[planes];
+};
+
+/** One strip's per-lane optimum: found mask, score and column. */
+template <int W>
+struct LaneBest
+{
+    using V = typename simd::VecPack<W>::I32;
+    V found{}, score{}, col{};
+};
+
+/** Call @p fn with @p flag as a std::bool_constant. */
+template <typename Fn>
+DPHLS_SIMD_INLINE void
+withFlag(bool flag, Fn &&fn)
+{
+    if (flag)
+        fn(std::true_type{});
+    else
+        fn(std::false_type{});
 }
 
 /**
- * Row-carrying strip sweep, DP-HLS's query chunking (Fig. 2C) on SIMD
- * lanes: the W lanes are the PEs, lane k holding query row k of the
- * strip, and the reference streams through them one column per step,
- * so at step t lane k computes column j = t - k. Every operand is a
- * register:
+ * Fill one strip, steps tStart..tEnd. Every operand is a register:
  *
- *   up   (k-1, j)   -> the previous step's vector shifted up one lane,
- *                      the carried row's R[t] entering lane 0
- *   diag (k-1, j-1) -> the previous step's up
- *   left (k,   j-1) -> the previous step's own vector
- *   ref  r[j-1]     -> a second shift register, r[t-1] entering lane 0
+ *   up   (i-1, j)   -> the last step's vector shifted up one lane, the
+ *                      carried row's R[t] entering lane 0
+ *   diag (i-1, j-1) -> the last step's up
+ *   left (i,   j-1) -> the lane's own last vector
+ *   ref  r[j]       -> a shift register per plane, r[t] entering lane 0
  *
- * The last lane writes column t - W + 1 back into the carried row. That
- * write trails lane 0's read of R[t] by W - 1 columns, so the row is
- * updated in place. During the first W steps the lanes at column <= 0
- * hold the sentinel, column 0 being the kernel's sentinel left column
- * (the last lane stores it as the new R[0]). A lane past the last
- * column only feeds lanes further past it, so the W - 1 drain steps
- * shift in don't-care values.
+ * The last live lane writes its column t - lastLane back into the
+ * carried rows. That write trails lane 0's read of R[t], so the rows
+ * update in place. Masked steps pin every lane outside its band window
+ * to its edge or sentinel value, which is exactly what the row-major
+ * fill keeps at its band edges; only banded kernels and the first W
+ * steps (lanes at column <= 0) need them, so the steady loop of an
+ * unbanded kernel has neither masks nor bounds checks. A lane past
+ * column rlen only feeds lanes further past it.
+ */
+template <typename K, int W, bool Store, bool Track, bool Full>
+LaneBest<W>
+sweepStrip(const StripSweepArgs<K> &a, StripFrame<K, W> f,
+           int32_t *const *rows)
+{
+    using V = typename StripFrame<K, W>::V;
+    using U8V = typename simd::VecPack<W>::U8;
+    constexpr int nLayers = K::nLayers;
+    constexpr int planes = StripFrame<K, W>::planes;
+    constexpr auto shift = std::make_integer_sequence<int, W - 1>{};
+
+    // Everything the steps read lives in locals: the write-back and
+    // bank stores could otherwise alias the argument structs and force
+    // reloads every step.
+    const typename K::Params params = *a.params;
+    const V worst = simd::splat<V>(a.worstRaw);
+    const V vql = simd::splat<V>(a.qlen);
+    const V vrl = simd::splat<V>(a.rlen);
+    V iota{};
+    for (int k = 0; k < W; k++)
+        iota[k] = k;
+    const int last = Full ? W - 1 : f.lastLane;
+    const int t_end = f.tEnd;
+    core::TbPtr *const tb = a.tb;
+    int32_t *row[nLayers];
+    for (int l = 0; l < nLayers; l++)
+        row[l] = rows[l];
+    const int32_t *r32[planes];
+    for (int pl = 0; pl < planes; pl++)
+        r32[pl] = a.r32 + static_cast<size_t>(pl) * a.rStride;
+    LaneBest<W> best;
+
+    V cur[nLayers], up[nLayers], ref[planes];
+    for (int l = 0; l < nLayers; l++)
+        cur[l] = up[l] = worst;
+    for (int pl = 0; pl < planes; pl++)
+        ref[pl] = V{};
+
+    // Each flag is a std::bool_constant, so every call site compiles
+    // its own branch-free step.
+    const auto step = [&](int t, auto masked, auto guarded, auto store) {
+        V dg[nLayers], sc[nLayers], ptr;
+        for (int l = 0; l < nLayers; l++) {
+            dg[l] = up[l];
+            up[l] = shiftUp(cur[l], simd::splat<V>(row[l][t]), shift);
+        }
+        for (int pl = 0; pl < planes; pl++)
+            ref[pl] = shiftUp(ref[pl], simd::splat<V>(r32[pl][t]), shift);
+        callLaneCell<K, V>(up, cur, dg, f.qry, ref, params, sc, ptr);
+        const V vt = simd::splat<V>(t);
+        V in_band{};
+        if constexpr (decltype(masked)::value) {
+            in_band = (vt >= f.lo) & (vt <= f.hi);
+            const V at_edge = vt == f.loEdge;
+            for (int l = 0; l < nLayers; l++)
+                cur[l] = simd::sel(in_band, sc[l],
+                                   simd::sel(at_edge, f.edge[l], worst));
+        } else {
+            for (int l = 0; l < nLayers; l++)
+                cur[l] = sc[l];
+        }
+        if (!decltype(guarded)::value || t >= last) {
+            for (int l = 0; l < nLayers; l++)
+                row[l][t - last] = cur[l][last];
+        }
+        if constexpr (!decltype(store)::value)
+            return;
+        if constexpr (Store) {
+            const U8V nb = __builtin_convertvector(ptr, U8V);
+            std::memcpy(static_cast<void *>(
+                            tb + (f.tb0 + static_cast<int64_t>(t) * W)),
+                        &nb, sizeof(nb));
+        }
+        if constexpr (Track) {
+            // First strictly-better eligible cell per lane, in column
+            // order; stripSweep merges the lanes in row order.
+            const V vj = vt - iota;
+            V elig = eligMask<K, V>(f.vi, vj, vql, vrl);
+            if constexpr (decltype(masked)::value)
+                elig &= in_band;
+            const V v = sc[0];
+            const V is_better = K::objective == core::Objective::Maximize
+                                    ? (v > best.score)
+                                    : (v < best.score);
+            const V better = elig & (~best.found | is_better);
+            best.score = simd::sel(better, v, best.score);
+            best.col = simd::sel(better, vj, best.col);
+            best.found |= better;
+        }
+    };
+
+    // Prologue: lane 0 enters at its left edge column, which holds no
+    // cell to store; until step W some lane sits at a column <= 0 and
+    // the write-back may fall left of column 0. Then the steady loop.
+    constexpr std::true_type yes{};
+    constexpr std::false_type no{};
+    constexpr std::bool_constant<K::banded> steady_masked{};
+    int t = f.tStart;
+    step(t++, yes, yes, no);
+    for (; t <= t_end && t < W; t++)
+        step(t, yes, yes, yes);
+    for (; t <= t_end; t++)
+        step(t, steady_masked, no, yes);
+    return best;
+}
+
+/**
+ * The strip sweep: one pair's DP fill as DP-HLS runs it (Fig. 2C), the
+ * W lanes being the PEs of a chunk. Strip s holds rows sW+1..sW+W and
+ * steps only over its band window. The carried rows stand in for the
+ * preserved-row buffer between strips; see StripSweepArgs for the bank
+ * layout and the optimum rule.
  */
 template <typename K, int W>
 void
 stripSweep(const StripSweepArgs<K> &a)
 {
-    static_assert(K::nLayers == 1 &&
-                  LaneCharTraits<typename K::CharT>::planes == 1);
-    using V = typename simd::VecPack<W>::I32;
+    using V = typename StripFrame<K, W>::V;
+    constexpr int nLayers = K::nLayers;
+    constexpr int planes = StripFrame<K, W>::planes;
+    const int qlen = a.qlen, rlen = a.rlen, band = a.band;
+    const auto jlo = [&](int i) {
+        return K::banded ? (i - band > 1 ? i - band : 1) : 1;
+    };
+    const auto jhi = [&](int i) {
+        return K::banded ? (i + band < rlen ? i + band : rlen) : rlen;
+    };
 
-    const int rlen = a.rlen;
-    int32_t *const row = a.row;
-    const typename K::Params &params = *a.params;
-    const V worst = simd::splat<V>(a.worstRaw);
-    V qry;
-    std::memcpy(&qry, a.q32, sizeof(V));
-    V iota{};
-    for (int k = 0; k < W; k++)
-        iota[k] = k;
+    int32_t *row[nLayers];
+    for (int l = 0; l < nLayers; l++)
+        row[l] = a.rows[l];
+    int32_t found = 0, best = 0, bi = 0, bj = 0;
 
-    V cur = worst, up = worst, ref{};
-    // Prologue: lanes k >= t sit at column <= 0. On a reference shorter
-    // than the strip, lane 0 already runs past the last column here.
-    for (int t = 0; t < W; t++) {
-        stripStep<K, W>(cur, up, ref, qry, t <= rlen ? row[t] : 0,
-                        t >= 1 && t <= rlen ? a.r32[t - 1] : 0, params);
-        cur = simd::sel(iota < simd::splat<V>(t), cur, worst);
+    StripFrame<K, W> f;
+    for (int s = 0; s * W < qlen; s++) {
+        f.first = s * W + 1;
+        const int jlo_first = jlo(f.first);
+        // Once the band leaves the matrix it stays out (jlo only grows).
+        if (jlo_first > jhi(f.first))
+            break;
+        f.lastLane = (qlen - f.first < W ? qlen - f.first : W - 1);
+        const int last_row = f.first + f.lastLane;
+        f.tStart = jlo_first - 1;
+        f.tEnd = jhi(last_row) + f.lastLane;
+        f.tb0 = a.keepTb ? a.stripBase[s] -
+                               static_cast<int64_t>(jlo_first) * W
+                         : 0;
+        for (int k = 0; k < W; k++) {
+            const int i = f.first + k;
+            f.vi[k] = i;
+            f.lo[k] = jlo(i) + k;
+            f.loEdge[k] = f.lo[k] - 1;
+            f.hi[k] = jhi(i) + k;
+            for (int l = 0; l < nLayers; l++)
+                f.edge[l][k] = i <= qlen && jlo(i) == 1
+                    ? a.colInit[i * nLayers + l]
+                    : a.worstRaw;
+        }
+        for (int pl = 0; pl < planes; pl++)
+            std::memcpy(&f.qry[pl],
+                        a.q32 + static_cast<size_t>(pl) * a.qStride +
+                            static_cast<size_t>(f.first - 1),
+                        sizeof(V));
+
+        // Global and SemiGlobal kernels have eligible cells only in
+        // row qlen.
+        const bool track = a.track &&
+            (K::alignKind == core::AlignmentKind::Local ||
+             K::alignKind == core::AlignmentKind::Overlap ||
+             last_row == qlen);
+        LaneBest<W> lanes;
+        withFlag(a.keepTb, [&](auto store) {
+            withFlag(track, [&](auto trk) {
+                // A full strip's write-back lane is a constant index.
+                withFlag(f.lastLane == W - 1, [&](auto full) {
+                    lanes = sweepStrip<K, W, decltype(store)::value,
+                                       decltype(trk)::value,
+                                       decltype(full)::value>(a, f, row);
+                });
+            });
+        });
+        // The sentinel right of the last row's band window, where the
+        // next strip's first row may read `up`.
+        const int after = jhi(last_row) + 1;
+        if (after <= rlen) {
+            for (int l = 0; l < nLayers; l++)
+                row[l][after] = a.worstRaw;
+        }
+        if (!track)
+            continue;
+        for (int k = 0; k <= f.lastLane; k++) {
+            if (!lanes.found[k])
+                continue;
+            const bool better = K::objective == core::Objective::Maximize
+                                    ? lanes.score[k] > best
+                                    : lanes.score[k] < best;
+            if (!found || better) {
+                found = 1;
+                best = lanes.score[k];
+                bi = f.first + k;
+                bj = lanes.col[k];
+            }
+        }
     }
-    row[0] = cur[W - 1];
-    for (int t = W; t <= rlen; t++) {
-        stripStep<K, W>(cur, up, ref, qry, row[t], a.r32[t - 1], params);
-        row[t - W + 1] = cur[W - 1];
-    }
-    // Drain: lane 0 has passed the last column.
-    for (int t = rlen + 1 > W ? rlen + 1 : W; t < rlen + W; t++) {
-        stripStep<K, W>(cur, up, ref, qry, 0, 0, params);
-        row[t - W + 1] = cur[W - 1];
+    if (a.track) {
+        *a.found = found;
+        *a.bestRaw = best;
+        *a.bestI = bi;
+        *a.bestJ = bj;
     }
 }
 
@@ -469,24 +494,19 @@ registerKernelSweeps()
     if constexpr (laneSweepEnabled<K>) {
         registerSweep(typeid(LaneSweepTag<K, 4>), kTier,
                       reinterpret_cast<SweepFnErased>(&laneSweep<K, 4>));
-        registerSweep(typeid(DiagSweepTag<K, 4>), kTier,
-                      reinterpret_cast<SweepFnErased>(&diagSweep<K, 4>));
         if constexpr (kNativeW >= 8) {
             registerSweep(
                 typeid(LaneSweepTag<K, 8>), kTier,
                 reinterpret_cast<SweepFnErased>(&laneSweep<K, 8>));
-            registerSweep(
-                typeid(DiagSweepTag<K, 8>), kTier,
-                reinterpret_cast<SweepFnErased>(&diagSweep<K, 8>));
         }
         if constexpr (kNativeW >= 16) {
             registerSweep(
                 typeid(LaneSweepTag<K, 16>), kTier,
                 reinterpret_cast<SweepFnErased>(&laneSweep<K, 16>));
-            registerSweep(
-                typeid(DiagSweepTag<K, 16>), kTier,
-                reinterpret_cast<SweepFnErased>(&diagSweep<K, 16>));
         }
+        registerSweep(
+            typeid(StripSweepTag<K>), kTier,
+            reinterpret_cast<SweepFnErased>(&stripSweep<K, kNativeW>));
     }
 }
 
@@ -508,9 +528,6 @@ registerAllSweeps()
     registerKernelSweeps<kernels::Viterbi>();
     registerKernelSweeps<kernels::Sdtw>();
     registerKernelSweeps<kernels::ProteinLocal>();
-    registerSweep(typeid(StripSweepTag<kernels::Sdtw>), kTier,
-                  reinterpret_cast<SweepFnErased>(
-                      &stripSweep<kernels::Sdtw, kNativeW>));
     return true;
 }
 

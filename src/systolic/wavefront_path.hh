@@ -11,7 +11,7 @@
  *
  * It is the only path that visits cells in schedule order, so it is the
  * ground truth for `ScheduleTrace` consumers and structural tests. The
- * row-major fast path (`fast_path.hh`) must stay bit-identical to it in
+ * fast path (`fast_path.hh`) must stay bit-identical to it in
  * results and cycle statistics (enforced by
  * tests/test_fastpath_equivalence.cc).
  */

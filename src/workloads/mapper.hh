@@ -21,7 +21,7 @@
  *     StreamPipeline ticket so the mapper rides the same priority /
  *     deadline / admission machinery as every other workload. Long
  *     reads (over the device MAX_*_LENGTH) instead run the GACT tiling
- *     layer host-side with the intra-pair DiagSimd path.
+ *     layer host-side, each tile filled by the engine's strip sweep.
  *  4. **MAPQ**: best-vs-second-best extension scores (chain scores on
  *     the long-read path), a simplified minimap2-style confidence.
  *
@@ -61,7 +61,7 @@ struct MapperConfig
     int maxChainGap = 512;
     int maxCandidates = 4;   //!< extension candidates per read
     int windowPad = 64;      //!< reference slack either side of a chain
-    /** Long-read extension path (GACT tiling + DiagSimd). */
+    /** Long-read extension path (GACT tiling). */
     host::TilingConfig tiling{};
 };
 

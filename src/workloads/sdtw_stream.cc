@@ -21,13 +21,15 @@ sentinel()
 } // namespace
 
 SdtwStream::SdtwStream(const seq::SignalSequence &reference)
+    : _rlen(reference.length())
 {
-    _ref.reserve(reference.chars.size());
-    for (const auto &s : reference.chars)
-        _ref.push_back(s.value);
-    const sim::IsaTier tier = sim::detectIsaTier();
-    _sweep = sim::lookupStripSweep<kernels::Sdtw>(tier);
-    _lanes = sim::isaTierLanes(tier);
+    _ref.assign(static_cast<size_t>(_rlen) + 1 + sim::kMaxSweepLanes, 0);
+    for (int j = 0; j < _rlen; j++)
+        _ref[static_cast<size_t>(j) + 1] =
+            reference.chars[static_cast<size_t>(j)].value;
+    _sweep = sim::lookupStripSweep<kernels::Sdtw>(sim::detectIsaTier()).fn;
+    _q32.assign(kFeedRows + sim::kMaxSweepLanes, 0);
+    _colInit.assign(kFeedRows + 1, sentinel());
     reset();
 }
 
@@ -36,34 +38,37 @@ SdtwStream::reset()
 {
     // Row 0 is the kernel's init row: origin 0 plus a zero top row
     // (free start anywhere along the reference).
-    _row.assign(_ref.size() + 1, 0);
+    _row.assign(static_cast<size_t>(_rlen) + 1 + sim::kMaxSweepLanes, 0);
     _rows = 0;
 }
 
 void
 SdtwStream::feed(const seq::SignalSample *samples, size_t count)
 {
-    const int rlen = static_cast<int>(_ref.size());
-    size_t s = 0;
+    _rows += static_cast<int>(count);
     if (_sweep) {
-        // Whole strips, one sample per lane, through the tier's sweep.
-        const size_t lanes = static_cast<size_t>(_lanes);
         const kernels::Sdtw::Params params{};
-        int32_t q32[sim::kMaxSweepLanes];
+        int32_t *row = _row.data();
         sim::StripSweepArgs<kernels::Sdtw> a;
-        a.rlen = rlen;
+        a.rlen = _rlen;
         a.worstRaw = sentinel();
-        a.q32 = q32;
+        a.q32 = _q32.data();
         a.r32 = _ref.data();
-        a.row = _row.data();
+        a.qStride = _q32.size();
+        a.rStride = _ref.size();
+        a.colInit = _colInit.data();
+        a.rows = &row;
         a.params = &params;
-        for (; count - s >= lanes; s += lanes) {
-            for (size_t k = 0; k < lanes; k++)
-                q32[k] = samples[s + k].value;
+        for (size_t s = 0; s < count; s += kFeedRows) {
+            const size_t n = std::min<size_t>(kFeedRows, count - s);
+            for (size_t k = 0; k < n; k++)
+                _q32[k] = samples[s + k].value;
+            a.qlen = static_cast<int>(n);
             _sweep(a);
         }
+        return;
     }
-    for (; s < count; s++) {
+    for (size_t s = 0; s < count; s++) {
         const int32_t q = samples[s].value;
         // In-place row update: `diag` carries the overwritten value of
         // the cell up-left of the one being computed. This is the
@@ -71,17 +76,16 @@ SdtwStream::feed(const seq::SignalSample *samples, size_t count)
         // feeding is bit-identical to the one-shot DP.
         int32_t diag = _row[0];
         _row[0] = sentinel(); // the query cannot be skipped
-        for (int j = 1; j <= rlen; j++) {
+        for (int j = 1; j <= _rlen; j++) {
             const size_t sj = static_cast<size_t>(j);
             const int32_t up = _row[sj];
-            const int32_t d = std::abs(q - _ref[sj - 1]);
+            const int32_t d = std::abs(q - _ref[sj]);
             const int32_t best =
                 std::min(diag, std::min(up, _row[sj - 1]));
             _row[sj] = best + d;
             diag = up;
         }
     }
-    _rows += static_cast<int>(count);
 }
 
 int32_t
@@ -91,12 +95,9 @@ SdtwStream::score() const
     // with no optimum cell — the golden model's semantics: its
     // bottom-row scan skips degenerate shapes and leaves the
     // default-constructed score.
-    if (_rows == 0 || _ref.empty())
+    if (_rows == 0 || _rlen == 0)
         return 0;
-    int32_t best = _row[1];
-    for (size_t j = 2; j < _row.size(); j++)
-        best = std::min(best, _row[j]);
-    return best;
+    return *std::min_element(_row.begin() + 1, _row.begin() + _rlen + 1);
 }
 
 } // namespace dphls::workloads

@@ -14,11 +14,11 @@
  * The row advances the way the device does it (DP-HLS Fig. 2C): W
  * samples at a time as a systolic strip, one sample per SIMD lane, the
  * reference streaming through the lanes and the carried row serving as
- * the preserved row between strips (the strip sweep of the host's ISA
- * tier, systolic/lane_sweep.hh, W its native lane count). The last
- * count % W samples of a feed, and every sample when the tier is
- * scalar, take the scalar row loop; both run the kernel's recurrence,
- * so the split changes no score.
+ * the preserved row between strips. That is the engine's own strip
+ * sweep (systolic/lane_sweep.hh, W the native lane count of the host's
+ * ISA tier), run with traceback and optimum tracking off. At the
+ * scalar tier every sample takes the scalar row loop instead; both run
+ * the kernel's recurrence, so the choice changes no score.
  *
  * Early-abandon soundness: every sDTW cell adds a non-negative cost
  * |q - r| to the minimum of its three neighbors, so the minimum of row
@@ -86,10 +86,15 @@ class SdtwStream
     void reset();
 
   private:
-    std::vector<int32_t> _ref;  //!< reference samples, widened
-    std::vector<int32_t> _row;  //!< current DP row, cols 0..rlen
+    /** Samples per strip-sweep call; bounds the buffers below. */
+    static constexpr int kFeedRows = 256;
+
+    int _rlen = 0;
+    std::vector<int32_t> _ref;     //!< widened, the sweep's layout
+    std::vector<int32_t> _row;     //!< current DP row, cols 0..rlen
+    std::vector<int32_t> _q32;     //!< one call's samples, plus slack
+    std::vector<int32_t> _colInit; //!< the sentinel left column
     sim::StripSweepFn<kernels::Sdtw> _sweep = nullptr; //!< null: scalar
-    int _lanes = 0;             //!< strip height (the tier's lanes)
     int _rows = 0;
 };
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/alignment.hh"
 #include "kernels/all.hh"
@@ -18,8 +19,22 @@
 #include "seq/protein_sampler.hh"
 #include "seq/read_simulator.hh"
 #include "seq/squiggle.hh"
+#include "systolic/isa_tier.hh"
 
 namespace dphls::test {
+
+/** The scalar fallback plus every vector tier this host can execute. */
+inline std::vector<sim::IsaTier>
+isaTiers()
+{
+    std::vector<sim::IsaTier> tiers{sim::IsaTier::Scalar};
+    for (const auto t : {sim::IsaTier::Sse2, sim::IsaTier::Avx2,
+                         sim::IsaTier::Avx512}) {
+        if (sim::isaTierSupported(t))
+            tiers.push_back(t);
+    }
+    return tiers;
+}
 
 /** A query/reference pair over an arbitrary alphabet. */
 template <typename CharT>

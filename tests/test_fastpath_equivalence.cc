@@ -1,15 +1,18 @@
 /**
  * @file
- * Differential suite for the engine's execution paths: the row-major
- * fast path must be bit-identical to the wavefront reference path in
- * score, optimum cell, traceback walk (CIGAR ops + start cell) AND
- * every cycle-statistics field, for every registered kernel, across
- * deterministic edge shapes (empty sequences, qlen < NPE, band edges)
- * and randomized configurations.
+ * Differential suite for the engine's execution paths: the fast path
+ * must be bit-identical to the wavefront reference path in score,
+ * optimum cell, traceback walk (CIGAR ops + start cell) AND every
+ * cycle-statistics field, for every registered kernel, across
+ * deterministic edge shapes (empty sequences, qlen < NPE, band edges,
+ * lengths around every strip height W) and randomized configurations.
  *
- * This is the contract that lets the engine pick the fast path by
- * default: anything observable through align()/lastStats() is
- * indistinguishable between paths.
+ * Every case runs the fast path at IsaTier::Scalar (the row-major loop)
+ * and at every SIMD tier this host supports (the strip sweep, whose
+ * registration is asserted so a miss cannot fall back silently). This
+ * is the contract that lets the engine pick the fast path by default:
+ * anything observable through align()/lastStats() is indistinguishable
+ * between paths and tiers.
  */
 
 #include <gtest/gtest.h>
@@ -18,46 +21,11 @@
 #include "helpers.hh"
 #include "kernels/all.hh"
 #include "systolic/engine.hh"
+#include "systolic/lane_sweep.hh"
 
 using namespace dphls;
 
 namespace {
-
-/**
- * A pair with exact (qlen, rlen) shape: realistic content for the
- * kernel's alphabet, force-resized (default-character padding is fine —
- * both paths consume identical input either way).
- */
-template <typename K>
-test::Pair<typename K::CharT>
-shapedPair(seq::Rng &rng, int qlen, int rlen)
-{
-    using CharT = typename K::CharT;
-    test::Pair<CharT> p;
-    const int base = std::max({qlen, rlen, 1});
-    if constexpr (std::is_same_v<CharT, seq::DnaChar>) {
-        p.query = seq::randomDna(base, rng);
-        p.reference = seq::mutateDna(p.query, 0.15, 0.08, rng);
-    } else if constexpr (std::is_same_v<CharT, seq::AminoChar>) {
-        p.query = seq::sampleProtein(base, rng);
-        p.reference = seq::mutateProtein(p.query, 0.15, 0.05, rng);
-    } else if constexpr (std::is_same_v<CharT, seq::ProfileColumn>) {
-        auto pairs = seq::sampleProfilePairs(1, base, rng.next());
-        p.query = std::move(pairs[0].first);
-        p.reference = std::move(pairs[0].second);
-    } else if constexpr (std::is_same_v<CharT, seq::ComplexSample>) {
-        p.query = seq::randomComplexSignal(base, rng);
-        p.reference = seq::warpComplexSignal(p.query, 0.2, 0.3, rng);
-    } else {
-        auto pairs = seq::sampleSquigglePairs(1, base, std::max(1, base / 2),
-                                              rng.next());
-        p.query = std::move(pairs[0].query);
-        p.reference = std::move(pairs[0].reference);
-    }
-    p.query.chars.resize(static_cast<size_t>(qlen));
-    p.reference.chars.resize(static_cast<size_t>(rlen));
-    return p;
-}
 
 void
 expectStatsEqual(const sim::CycleStats &w, const sim::CycleStats &f,
@@ -92,37 +60,51 @@ expectPathsIdentical(const seq::Sequence<typename K::CharT> &q,
 
     cfg.path = sim::EnginePath::Wavefront;
     sim::SystolicAligner<K> wave(cfg);
-    cfg.path = sim::EnginePath::Fast;
-    sim::SystolicAligner<K> fast(cfg);
     ASSERT_EQ(wave.activePath(), sim::EnginePath::Wavefront);
-    ASSERT_EQ(fast.activePath(), sim::EnginePath::Fast);
-
     const auto a = wave.align(q, r);
-    const auto b = fast.align(q, r);
 
-    const std::string ctx = std::string(K::name) + " npe=" +
-        std::to_string(npe) + " band=" + std::to_string(band) +
-        " qlen=" + std::to_string(q.length()) +
-        " rlen=" + std::to_string(r.length()) +
-        (skip_tb ? " skip_tb" : "");
-    using Tr = core::ScoreTraits<typename K::ScoreT>;
-    ASSERT_EQ(Tr::toDouble(a.score), Tr::toDouble(b.score)) << ctx;
-    ASSERT_EQ(a.end, b.end) << ctx;
-    ASSERT_EQ(a.start, b.start) << ctx;
-    ASSERT_EQ(a.ops, b.ops) << ctx;
-    expectStatsEqual(wave.lastStats(), fast.lastStats(), ctx);
-    ASSERT_EQ(wave.lastTotalCycles(), fast.lastTotalCycles()) << ctx;
+    for (const sim::IsaTier tier : test::isaTiers()) {
+        cfg.path = sim::EnginePath::Fast;
+        cfg.isaTier = tier;
+        sim::SystolicAligner<K> fast(cfg);
+        ASSERT_EQ(fast.activePath(), sim::EnginePath::Fast);
+        const auto b = fast.align(q, r);
+
+        const std::string ctx = std::string(K::name) + " tier " +
+            sim::isaTierName(tier) + " npe=" + std::to_string(npe) +
+            " band=" + std::to_string(band) +
+            " qlen=" + std::to_string(q.length()) +
+            " rlen=" + std::to_string(r.length()) +
+            (skip_tb ? " skip_tb" : "");
+        using Tr = core::ScoreTraits<typename K::ScoreT>;
+        ASSERT_EQ(Tr::toDouble(a.score), Tr::toDouble(b.score)) << ctx;
+        ASSERT_EQ(a.end, b.end) << ctx;
+        ASSERT_EQ(a.start, b.start) << ctx;
+        ASSERT_EQ(a.ops, b.ops) << ctx;
+        expectStatsEqual(wave.lastStats(), fast.lastStats(), ctx);
+        ASSERT_EQ(wave.lastTotalCycles(), fast.lastTotalCycles()) << ctx;
+    }
 }
 
 /**
  * Full sweep for one kernel: deterministic edge shapes (empty inputs,
  * qlen < / == / > NPE, band-edge and band-excluded geometries) crossed
- * with several NPE and band widths, plus a randomized tail.
+ * with several NPE and band widths; every pairing of lengths 0, 1,
+ * W-1, W, W+1 and 2W+1 for W = 4, 8 and 16 (bands 0, 1, 2, W and 64 on
+ * banded kernels, traceback on and off); plus a randomized tail.
  */
 template <typename K>
 void
 sweepKernel()
 {
+    // Every SIMD tier must run the strip sweep, not the fallback.
+    for (const sim::IsaTier tier : test::isaTiers()) {
+        if (tier != sim::IsaTier::Scalar) {
+            ASSERT_NE(sim::lookupStripSweep<K>(tier).fn, nullptr)
+                << K::name << " tier " << sim::isaTierName(tier);
+        }
+    }
+
     seq::Rng rng(static_cast<uint64_t>(K::kernelId) * 1000003ULL + 17);
 
     const int npes[] = {1, 3, 32};
@@ -135,7 +117,7 @@ sweepKernel()
 
     for (const int npe : npes) {
         for (const auto &[qlen, rlen] : shapes) {
-            const auto p = shapedPair<K>(rng, qlen, rlen);
+            const auto p = test::shapedPair<K>(rng, qlen, rlen);
             for (const int band : bands) {
                 expectPathsIdentical<K>(p.query, p.reference, npe, band);
                 if (!K::banded)
@@ -144,10 +126,18 @@ sweepKernel()
         }
     }
 
-    // Traceback disabled (GPU-baseline mode).
-    {
-        const auto p = shapedPair<K>(rng, 48, 52);
-        expectPathsIdentical<K>(p.query, p.reference, 16, 8, true);
+    const int lens[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33};
+    for (const int qlen : lens) {
+        for (const int rlen : lens) {
+            const auto p = test::shapedPair<K>(rng, qlen, rlen);
+            for (const int band : {0, 1, 2, 4, 8, 16, 64}) {
+                for (const bool skip_tb : {false, true})
+                    expectPathsIdentical<K>(p.query, p.reference, 5, band,
+                                            skip_tb);
+                if (!K::banded)
+                    break;
+            }
+        }
     }
 
     // Randomized configurations, including non-default cycle options.
@@ -161,7 +151,7 @@ sweepKernel()
         cycles.pipelineDepth = 1 + static_cast<int>(rng.below(12));
         cycles.tracebackCyclesPerStep = 1 + static_cast<int>(rng.below(3));
         cycles.hostStreamCyclesPerChar = static_cast<int>(rng.below(3));
-        const auto p = shapedPair<K>(rng, qlen, rlen);
+        const auto p = test::shapedPair<K>(rng, qlen, rlen);
         expectPathsIdentical<K>(p.query, p.reference, npe, band,
                                 t % 5 == 4, cycles);
     }
@@ -216,6 +206,34 @@ TEST(FastPathEquivalence, Sdtw) { sweepKernel<kernels::Sdtw>(); }
 TEST(FastPathEquivalence, ProteinLocal)
 {
     sweepKernel<kernels::ProteinLocal>();
+}
+
+/**
+ * Long banded pairs (many strips, each stepping only over its band
+ * window), length skews right at, inside and beyond the band (the last
+ * has no in-band corner, so every path must report the same
+ * no-eligible-cell outcome), and the narrowest bands.
+ */
+TEST(FastPathEquivalence, LongAndBandEdgeShapes)
+{
+    seq::Rng rng(61);
+    const auto shaped = [&](auto kernel, int qlen, int rlen, int band) {
+        using K = decltype(kernel);
+        const auto p = test::shapedPair<K>(rng, qlen, rlen);
+        expectPathsIdentical<K>(p.query, p.reference, 32, band);
+    };
+    shaped(kernels::BandedGlobalLinear{}, 700, 700, 32);
+    shaped(kernels::BandedLocalAffine{}, 500, 500, 24);
+    shaped(kernels::BandedGlobalTwoPiece{}, 400, 400, 16);
+    shaped(kernels::BandedGlobalLinear{}, 200, 184, 16);
+    shaped(kernels::BandedGlobalLinear{}, 200, 185, 16);
+    shaped(kernels::BandedGlobalLinear{}, 200, 150, 16);
+    shaped(kernels::BandedGlobalLinear{}, 60, 60, 1);
+    shaped(kernels::BandedGlobalLinear{}, 60, 60, 0);
+    shaped(kernels::BandedGlobalLinear{}, 1, 60, 8);
+    shaped(kernels::GlobalAffine{}, 160, 120, 8);
+    shaped(kernels::LocalLinear{}, 150, 90, 8);
+    shaped(kernels::ProteinLocal{}, 120, 100, 8);
 }
 
 /**

@@ -4,12 +4,10 @@
  * lane engine at every tier this host supports (plus the forced-scalar
  * fallback), must be bit-identical — scores, traceback endpoints,
  * CIGARs and cycle statistics — to the scalar wavefront engine. The
- * intra-pair anti-diagonal path (EnginePath::DiagSimd) gets the same
- * treatment on long banded pairs, band-edge shapes and empty inputs,
- * and the device channel's intra-pair routing of lane groups of one is
- * diffed end to end through a StreamPipeline. The streaming sDTW's
- * row-carrying strip sweep is driven directly at every vector tier and
- * checked after every strip against rows built from Sdtw::peFunc.
+ * strip sweep's carried-row mode, which the streaming sDTW runs, is
+ * driven directly at every vector tier and checked after every call
+ * against rows built from Sdtw::peFunc; its full single-pair fill is
+ * diffed against the wavefront engine in test_fastpath_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
@@ -33,19 +31,6 @@
 using namespace dphls;
 
 namespace {
-
-/** Scalar fallback plus every vector tier this host can execute. */
-std::vector<sim::IsaTier>
-testTiers()
-{
-    std::vector<sim::IsaTier> tiers{sim::IsaTier::Scalar};
-    for (const auto t : {sim::IsaTier::Sse2, sim::IsaTier::Avx2,
-                         sim::IsaTier::Avx512}) {
-        if (sim::isaTierSupported(t))
-            tiers.push_back(t);
-    }
-    return tiers;
-}
 
 /**
  * Mixed-shape workload for kernel @p K: lengths around the lane widths,
@@ -91,7 +76,7 @@ expectTiersMatchScalar(
     sim::SystolicAligner<K> engine(cfg);
     using Tr = core::ScoreTraits<typename K::ScoreT>;
 
-    for (const sim::IsaTier tier : testTiers()) {
+    for (const sim::IsaTier tier : test::isaTiers()) {
         sim::EngineConfig tcfg = cfg;
         tcfg.isaTier = tier;
         sim::LaneAligner<K> lanes(tcfg);
@@ -132,46 +117,6 @@ tierSweepKernel(uint64_t seed, int count, int max_len, int npe, int band)
     seq::Rng rng(seed);
     expectTiersMatchScalar<K>(tierPairs<K>(rng, count, max_len), npe,
                               band);
-}
-
-/**
- * Diff the intra-pair anti-diagonal path against the wavefront engine
- * on one shape, at every tier.
- */
-template <typename K>
-void
-expectDiagMatchesWavefront(int qlen, int rlen, int band, uint64_t seed)
-{
-    seq::Rng rng(seed);
-    const auto pair = test::shapedPair<K>(rng, qlen, rlen);
-
-    sim::EngineConfig cfg;
-    cfg.numPe = 32;
-    cfg.bandWidth = band;
-    cfg.maxQueryLength = std::max(1024, qlen + 1);
-    cfg.maxReferenceLength = std::max(1024, rlen + 1);
-    sim::SystolicAligner<K> gold(cfg);
-    const auto want = gold.align(pair.query, pair.reference);
-    using Tr = core::ScoreTraits<typename K::ScoreT>;
-
-    for (const sim::IsaTier tier : testTiers()) {
-        sim::EngineConfig dcfg = cfg;
-        dcfg.path = sim::EnginePath::DiagSimd;
-        dcfg.isaTier = tier;
-        sim::SystolicAligner<K> diag(dcfg);
-        const auto got = diag.align(pair.query, pair.reference);
-        const std::string ctx = std::string(K::name) + " tier " +
-            sim::isaTierName(tier) + " qlen=" + std::to_string(qlen) +
-            " rlen=" + std::to_string(rlen) +
-            " band=" + std::to_string(band);
-        ASSERT_EQ(Tr::toDouble(want.score), Tr::toDouble(got.score))
-            << ctx;
-        ASSERT_EQ(want.end, got.end) << ctx;
-        ASSERT_EQ(want.start, got.start) << ctx;
-        ASSERT_EQ(want.ops, got.ops) << ctx;
-        EXPECT_TRUE(gold.lastStats() == diag.lastStats()) << ctx;
-        EXPECT_EQ(gold.lastTotalCycles(), diag.lastTotalCycles()) << ctx;
-    }
 }
 
 } // namespace
@@ -220,56 +165,6 @@ TEST(IsaTiers, FixedPointFamily)
     tierSweepKernel<kernels::Sdtw>(53, 6, 70, 32, 16);
 }
 
-// --- Intra-pair anti-diagonal path ----------------------------------
-
-TEST(DiagPath, LongBandedPairsAllTiers)
-{
-    expectDiagMatchesWavefront<kernels::BandedGlobalLinear>(700, 700, 32,
-                                                            61);
-    expectDiagMatchesWavefront<kernels::BandedLocalAffine>(500, 500, 24,
-                                                           62);
-    expectDiagMatchesWavefront<kernels::BandedGlobalTwoPiece>(400, 400,
-                                                              16, 63);
-}
-
-TEST(DiagPath, BandEdgeShapes)
-{
-    // Length skew right at, inside and beyond the band: the last one
-    // has no in-band corner, so both paths must report the same
-    // no-eligible-cell outcome.
-    expectDiagMatchesWavefront<kernels::BandedGlobalLinear>(200, 184, 16,
-                                                            71);
-    expectDiagMatchesWavefront<kernels::BandedGlobalLinear>(200, 185, 16,
-                                                            72);
-    expectDiagMatchesWavefront<kernels::BandedGlobalLinear>(200, 150, 16,
-                                                            73);
-    // Band of 1: the narrowest wavefront the geometry allows.
-    expectDiagMatchesWavefront<kernels::BandedGlobalLinear>(60, 60, 1,
-                                                            74);
-}
-
-TEST(DiagPath, UnbandedAndDegenerateShapes)
-{
-    expectDiagMatchesWavefront<kernels::GlobalAffine>(160, 120, 8, 81);
-    expectDiagMatchesWavefront<kernels::LocalLinear>(150, 90, 8, 82);
-    expectDiagMatchesWavefront<kernels::ProteinLocal>(120, 100, 8, 83);
-    // Empty and single-character inputs.
-    expectDiagMatchesWavefront<kernels::GlobalAffine>(0, 50, 8, 84);
-    expectDiagMatchesWavefront<kernels::GlobalAffine>(50, 0, 8, 85);
-    expectDiagMatchesWavefront<kernels::GlobalAffine>(0, 0, 8, 86);
-    expectDiagMatchesWavefront<kernels::GlobalAffine>(1, 1, 8, 87);
-    expectDiagMatchesWavefront<kernels::BandedGlobalLinear>(0, 0, 8, 88);
-    expectDiagMatchesWavefront<kernels::BandedGlobalLinear>(1, 60, 8,
-                                                            89);
-}
-
-TEST(DiagPath, FixedPointKernels)
-{
-    expectDiagMatchesWavefront<kernels::Viterbi>(90, 80, 8, 91);
-    expectDiagMatchesWavefront<kernels::Dtw>(70, 85, 8, 92);
-    expectDiagMatchesWavefront<kernels::Sdtw>(100, 140, 8, 93);
-}
-
 // --- Strip sweep: the streaming sDTW's systolic query strips ----------
 
 namespace {
@@ -313,52 +208,71 @@ peFuncRow(const std::vector<int32_t> &prev, int32_t q,
 
 } // namespace
 
-TEST(StripSweep, MatchesPeFuncAfterEveryStripAllTiers)
+TEST(StripSweep, MatchesPeFuncAfterEveryCallAllTiers)
 {
     using K = kernels::Sdtw;
     const K::Params params = K::defaultParams();
     const int32_t worst = core::scoreSentinelWorst<int32_t>(K::objective);
+    constexpr size_t slack = sim::kMaxSweepLanes;
     seq::Rng rng(95);
-    for (const sim::IsaTier tier : testTiers()) {
+    for (const sim::IsaTier tier : test::isaTiers()) {
         if (tier == sim::IsaTier::Scalar)
             continue;
         // A registration slip must fail here, not fall back to scalar.
         const auto sweep = sim::lookupStripSweep<K>(tier);
-        ASSERT_NE(sweep, nullptr) << sim::isaTierName(tier);
-        const int w = sim::isaTierLanes(tier);
+        ASSERT_NE(sweep.fn, nullptr) << sim::isaTierName(tier);
+        const int w = sweep.lanes;
+        ASSERT_EQ(w, sim::isaTierLanes(tier));
         for (const int rlen : {1, 2, w - 1, w, w + 1, 7 * w + 3, 300}) {
             for (const bool origin : {true, false}) {
                 std::vector<int32_t> ref(static_cast<size_t>(rlen));
                 for (auto &r : ref)
                     r = stripSample(rng);
+                std::vector<int32_t> r32(ref.size() + 1 + slack, 0);
+                std::copy(ref.begin(), ref.end(), r32.begin() + 1);
                 // The origin row is the kernel's init row; a later row
                 // has the sentinel left column and arbitrary scores.
-                std::vector<int32_t> row(ref.size() + 1);
-                row[0] = origin ? K::originScore(0, params) : worst;
-                for (size_t j = 1; j < row.size(); j++) {
-                    row[j] = origin
+                std::vector<int32_t> want(ref.size() + 1);
+                want[0] = origin ? K::originScore(0, params) : worst;
+                for (size_t j = 1; j < want.size(); j++) {
+                    want[j] = origin
                         ? K::initRowScore(static_cast<int>(j), 0, params)
                         : static_cast<int32_t>(rng.below(1 << 20));
                 }
-                std::vector<int32_t> want = row;
-                for (int s = 0; s < 3; s++) {
-                    std::vector<int32_t> q(static_cast<size_t>(w));
-                    for (auto &x : q)
-                        x = stripSample(rng);
+                std::vector<int32_t> row(want.size() + slack, worst);
+                std::copy(want.begin(), want.end(), row.begin());
+                // Calls of one, several and partial strips.
+                for (const int rows : {w, 1, 3 * w, w - 1, 2 * w + 1}) {
+                    std::vector<int32_t> q32(
+                        static_cast<size_t>(rows) + slack, 0);
+                    for (int k = 0; k < rows; k++)
+                        q32[static_cast<size_t>(k)] = stripSample(rng);
+                    const std::vector<int32_t> col(
+                        static_cast<size_t>(rows) + 1,
+                        K::initColScore(1, 0, params));
+                    int32_t *rp = row.data();
                     sim::StripSweepArgs<K> a;
+                    a.qlen = rows;
                     a.rlen = rlen;
                     a.worstRaw = worst;
-                    a.q32 = q.data();
-                    a.r32 = ref.data();
-                    a.row = row.data();
+                    a.q32 = q32.data();
+                    a.r32 = r32.data();
+                    a.qStride = q32.size();
+                    a.rStride = r32.size();
+                    a.colInit = col.data();
+                    a.rows = &rp;
                     a.params = &params;
-                    sweep(a);
-                    for (const int32_t x : q)
-                        want = peFuncRow(want, x, ref);
-                    ASSERT_EQ(row, want)
+                    sweep.fn(a);
+                    for (int k = 0; k < rows; k++)
+                        want = peFuncRow(want, q32[static_cast<size_t>(k)],
+                                         ref);
+                    ASSERT_EQ(std::vector<int32_t>(
+                                  row.begin(),
+                                  row.begin() + rlen + 1),
+                              want)
                         << sim::isaTierName(tier) << " rlen " << rlen
-                        << (origin ? " origin" : " later") << " strip "
-                        << s;
+                        << (origin ? " origin" : " later") << " rows "
+                        << rows;
                 }
             }
         }
@@ -380,7 +294,7 @@ TEST(IsaTiers, ParseAndNames)
     EXPECT_EQ(t, sim::IsaTier::Scalar);
     EXPECT_FALSE(sim::parseIsaTier("avx1024", t));
     EXPECT_FALSE(sim::parseIsaTier("", t));
-    for (const auto tier : testTiers()) {
+    for (const auto tier : test::isaTiers()) {
         sim::IsaTier back = sim::IsaTier::Auto;
         ASSERT_TRUE(sim::parseIsaTier(sim::isaTierName(tier), back));
         EXPECT_EQ(back, tier);
@@ -436,51 +350,7 @@ TEST(IsaTiers, PipelineStampsActiveTier)
     EXPECT_STREQ(stats.isaTier, sim::isaTierName(active));
 }
 
-TEST(IsaTiers, IntraPairRoutingIsResultTransparent)
-{
-    using K = kernels::BandedGlobalLinear;
-    using Pipeline = host::StreamPipeline<K>;
-
-    seq::Rng rng(909);
-    // One long pair per ticket (the intra-pair trigger: single job,
-    // shorter end over the floor) plus short pairs that must keep
-    // taking the lane engine.
-    std::vector<test::Pair<seq::DnaChar>> pairs;
-    pairs.push_back(test::shapedPair<K>(rng, 900, 900));
-    pairs.push_back(test::shapedPair<K>(rng, 40, 40));
-    pairs.push_back(test::shapedPair<K>(rng, 1200, 1200));
-
-    host::BatchConfig base;
-    base.nk = 1;
-    base.threads = 1;
-    base.laneWidth = 4; // intra-pair SIMD only serves lane groups
-    base.bandWidth = 32;
-    base.maxQueryLength = 2048;
-    base.maxReferenceLength = 2048;
-    base.cacheEntries = 0;
-    host::BatchConfig intra = base;
-    intra.intraPairSimd = true;
-    intra.intraPairSimdMinLen = 512;
-
-    Pipeline plain(base), routed(intra);
-    for (const auto &p : pairs) {
-        std::vector<typename Pipeline::Job> j1{{p.query, p.reference}};
-        std::vector<typename Pipeline::Job> j2{{p.query, p.reference}};
-        auto t1 = plain.submit(std::move(j1));
-        auto t2 = routed.submit(std::move(j2));
-        t1->wait();
-        t2->wait();
-        ASSERT_EQ(t1->results().size(), t2->results().size());
-        for (size_t i = 0; i < t1->results().size(); i++) {
-            EXPECT_EQ(t1->results()[i].score, t2->results()[i].score);
-            EXPECT_EQ(t1->results()[i].end, t2->results()[i].end);
-            EXPECT_EQ(t1->results()[i].ops, t2->results()[i].ops);
-        }
-        EXPECT_EQ(t1->cycles(), t2->cycles());
-    }
-}
-
-TEST(IsaTiers, TilingIntraPairIsResultTransparent)
+TEST(IsaTiers, TilingIsTierTransparent)
 {
     using K = kernels::GlobalAffine;
     seq::Rng rng(1010);
@@ -490,16 +360,19 @@ TEST(IsaTiers, TilingIntraPairIsResultTransparent)
     ecfg.numPe = 32;
     ecfg.maxQueryLength = 1024;
     ecfg.maxReferenceLength = 1024;
-    sim::SystolicAligner<K> engine(ecfg);
-
-    host::TilingConfig plain;
-    host::TilingConfig diag;
-    diag.intraPairSimd = true;
-    const auto a = host::tiledAlign(engine, pair.query, pair.reference,
-                                    plain);
-    const auto b = host::tiledAlign(engine, pair.query, pair.reference,
-                                    diag);
-    EXPECT_EQ(a.ops, b.ops);
-    EXPECT_EQ(a.tiles, b.tiles);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    ecfg.isaTier = sim::IsaTier::Scalar;
+    sim::SystolicAligner<K> scalar(ecfg);
+    const host::TilingConfig tiling;
+    const auto want =
+        host::tiledAlign(scalar, pair.query, pair.reference, tiling);
+    for (const sim::IsaTier tier : test::isaTiers()) {
+        ecfg.isaTier = tier;
+        sim::SystolicAligner<K> engine(ecfg);
+        const auto got =
+            host::tiledAlign(engine, pair.query, pair.reference, tiling);
+        EXPECT_EQ(want.ops, got.ops) << sim::isaTierName(tier);
+        EXPECT_EQ(want.tiles, got.tiles) << sim::isaTierName(tier);
+        EXPECT_EQ(want.totalCycles, got.totalCycles)
+            << sim::isaTierName(tier);
+    }
 }

@@ -206,8 +206,7 @@ TEST(Mapper, LongReadsTakeTheTilingPath)
 {
     seq::Rng rng(27);
     const auto genome = seq::makeReferenceGenome(12000, rng);
-    MapperConfig mcfg = smallMapper();
-    mcfg.tiling.intraPairSimd = true;
+    const MapperConfig mcfg = smallMapper();
     ReadMapper mapper(genome, mcfg);
     ReadMapper::Pipeline pipeline(smallConfig()); // maxQueryLength 256
 

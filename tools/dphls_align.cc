@@ -43,7 +43,6 @@
  *               [--no-traceback] [--priority P] [--deadline-ms D]
  *               [--two-class-demo]
  *               [--isa-tier auto|scalar|sse2|avx2|avx512]
- *               [--intra-pair] [--intra-pair-min-len L]
  *               [--stage-pipeline] [--stage-fifo-depth N] [--preempt]
  *
  * --stage-pipeline runs each device shard's traceback/writeback on its
@@ -52,11 +51,10 @@
  * higher-priority tickets interrupt in-flight device shards at job and
  * lane-group boundaries, with or without --stage-pipeline.
  *
- * --isa-tier pins the SIMD tier of the host lane engine (auto picks
- * the widest the CPU supports); results are identical at every tier,
- * only throughput changes. --intra-pair routes single-pair tickets
- * whose shorter end is at least --intra-pair-min-len through the
- * anti-diagonal intra-pair SIMD path instead of the lane engine.
+ * --isa-tier pins the SIMD tier of the host lane engine and of the
+ * strip sweep that fills single pairs (auto picks the widest the CPU
+ * supports); results are identical at every tier, only throughput
+ * changes.
  *
  * Kernels: global-linear, global-affine, local-linear, local-affine,
  *          two-piece, overlap, semi-global, banded-global, banded-local,
@@ -113,8 +111,6 @@ struct Options
     double deadlineMs = 0;     //!< per-ticket deadline (0 = none)
     bool twoClassDemo = false; //!< run the priority-scheduling demo
     sim::IsaTier isaTier = sim::IsaTier::Auto; //!< --isa-tier
-    bool intraPair = false;    //!< route single long pairs to DiagSimd
-    int intraPairMinLen = 1024; //!< shorter-end floor for --intra-pair
     bool stagePipeline = false; //!< overlap fill and traceback stages
     int stageFifoDepth = 4;     //!< fill -> traceback FIFO capacity
     bool preempt = false;       //!< stage-boundary preemption points
@@ -140,8 +136,6 @@ usage()
                  "[--two-class-demo]\n"
                  "                   [--isa-tier "
                  "auto|scalar|sse2|avx2|avx512]\n"
-                 "                   [--intra-pair] "
-                 "[--intra-pair-min-len L]\n"
                  "                   [--stage-pipeline] "
                  "[--stage-fifo-depth N] [--preempt]\n"
                  "                   [--workload mixed] [--seed S]\n"
@@ -378,8 +372,6 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
                        : host::DispatchPolicy::Threshold;
     cfg.cacheEntries = opt.cache ? 4096 : 0;
     cfg.isaTier = opt.isaTier;
-    cfg.intraPairSimd = opt.intraPair;
-    cfg.intraPairSimdMinLen = opt.intraPairMinLen;
     cfg.stagePipeline = opt.stagePipeline;
     cfg.stageFifoDepth = opt.stageFifoDepth;
     cfg.preemption = opt.preempt;
@@ -778,10 +770,6 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-        } else if (a == "--intra-pair") {
-            opt.intraPair = true;
-        } else if (a == "--intra-pair-min-len") {
-            opt.intraPairMinLen = std::atoi(next());
         } else if (a == "--stage-pipeline") {
             opt.stagePipeline = true;
         } else if (a == "--stage-fifo-depth") {
