@@ -628,7 +628,7 @@ measurePriorityScheduling(bool prioritized)
     host::StreamPipeline<K> pipeline(cfg);
 
     PriorityOutcome out;
-    auto probe = std::make_shared<host::TwoClassLatencyProbe>(fmax);
+    auto probe = std::make_shared<host::ClassLatencyProbe>(fmax);
     std::vector<host::StreamPipeline<K>::Ticket> tickets;
     const auto submitClass = [&](std::vector<host::AlignmentJob<
                                      seq::DnaChar>> batch,
@@ -639,7 +639,10 @@ measurePriorityScheduling(bool prioritized)
         tickets.push_back(pipeline.submit(
             std::move(batch), std::move(topt),
             [probe, interactive](host::BatchTicket<K> &t) {
-                probe->record(t.stats().makespanCycles, interactive);
+                using Probe = host::ClassLatencyProbe;
+                probe->record(t.stats().makespanCycles,
+                              interactive ? Probe::Interactive
+                                          : Probe::Bulk);
             }));
     };
 
@@ -672,8 +675,8 @@ measurePriorityScheduling(bool prioritized)
             out.scores.push_back(r.scoreAsDouble());
     }
     pipeline.drain();
-    out.interactiveLat = probe->interactive();
-    out.bulkLat = probe->bulk();
+    out.interactiveLat = probe->of(host::ClassLatencyProbe::Interactive);
+    out.bulkLat = probe->of(host::ClassLatencyProbe::Bulk);
     return out;
 }
 

@@ -112,7 +112,8 @@ namespace dphls::host {
 namespace lockrank {
 /** StreamPipeline::_outstandingMutex (ticket registry). */
 constexpr int kOutstanding = 10;
-/** DispatchCore::Slot::mutex (one per backend slot; never nested). */
+/** DispatchCore::_mutex (every dispatch queue and slot; never nested
+ *  with itself, never held across a backend run or a callback). */
 constexpr int kDispatchSlot = 20;
 /** AlignService::_ticketMutex (live-ticket reaping list). */
 constexpr int kServiceTickets = 30;
@@ -120,9 +121,9 @@ constexpr int kServiceTickets = 30;
 constexpr int kServiceStats = 40;
 /** TenantQuotas::_mtx (innermost: leaf calls only). */
 constexpr int kTenantQuota = 50;
-/** workloads::ClassLatencyProbe::_mutex (leaf; taken from ticket
- *  completion callbacks, which may run under a dispatch slot). */
-constexpr int kWorkloadProbe = 60;
+/** ClassLatencyProbe::_mutex (leaf; taken from ticket completion
+ *  callbacks). */
+constexpr int kLatencyProbe = 60;
 } // namespace lockrank
 
 #if DPHLS_DCHECK_ENABLED

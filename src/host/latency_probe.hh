@@ -1,12 +1,14 @@
 /**
  * @file
- * Modeled ticket-latency probe for two-class scheduling workloads.
+ * Modeled ticket-latency probe for class-scheduling workloads, plus the
+ * percentile helper every latency report uses.
  *
- * Shared by `dphls_align --two-class-demo` and bench_engine_micro's
- * `priority_scheduling` section: both queue an interactive/bulk ticket
- * mix on a paused one-channel pipeline, release it, and record each
- * ticket's completion latency as the channel's cumulative busy cycles
- * at that completion converted at fmax — arrival is the shared release
+ * Shared by the mixed workload (workloads/mixed_demo.hh, `dphls_align
+ * --workload mixed`) and bench_engine_micro's `priority_scheduling` and
+ * `workloads` sections: each queues a ticket mix on a paused
+ * one-channel pipeline, releases it, and records each ticket's
+ * completion latency as the channel's cumulative busy cycles at that
+ * completion converted at fmax — arrival is the shared release
  * instant, so the latency is pure modeled queueing + service time and
  * deterministic across runs and machines.
  */
@@ -20,6 +22,8 @@
 #include <cstdint>
 #include <mutex>
 #include <vector>
+
+#include "host/check.hh"
 
 namespace dphls::host {
 
@@ -62,32 +66,42 @@ percentile(std::vector<double> &&values, double p)
 /**
  * Accumulates per-class modeled completion latencies. Call record()
  * from each ticket's completion callback with the ticket's makespan
- * cycles; thread-safe, read the vectors only after every ticket has
- * completed.
+ * cycles; thread-safe. The cumulative busy-cycle clock is per probe, so
+ * attach one probe per pipeline, and read of() only after every ticket
+ * has completed.
  */
-class TwoClassLatencyProbe
+class ClassLatencyProbe
 {
   public:
-    explicit TwoClassLatencyProbe(double fmax_mhz) : _fmaxMhz(fmax_mhz) {}
+    enum Class
+    {
+        Realtime = 0,
+        Interactive = 1,
+        Bulk = 2
+    };
+
+    explicit ClassLatencyProbe(double fmax_mhz) : _fmaxMhz(fmax_mhz) {}
 
     void
-    record(uint64_t makespan_cycles, bool interactive)
+    record(uint64_t makespan_cycles, Class cls)
     {
         std::lock_guard lock(_mutex);
         _cumCycles += makespan_cycles;
         const double seconds =
             static_cast<double>(_cumCycles) / (_fmaxMhz * 1e6);
-        (interactive ? _interactive : _bulk).push_back(seconds);
+        _latencies[cls].push_back(seconds);
     }
 
-    const std::vector<double> &interactive() const { return _interactive; }
-    const std::vector<double> &bulk() const { return _bulk; }
+    const std::vector<double> &of(Class cls) const
+    {
+        return _latencies[cls];
+    }
 
   private:
     double _fmaxMhz;
-    std::mutex _mutex;
+    DebugMutex _mutex{lockrank::kLatencyProbe, "latency-probe"};
     uint64_t _cumCycles = 0;
-    std::vector<double> _interactive, _bulk;
+    std::vector<double> _latencies[3];
 };
 
 } // namespace dphls::host

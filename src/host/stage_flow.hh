@@ -12,7 +12,7 @@
  *  - inline on the shard's worker (the default): every item is retired
  *    before the producer continues, so the shard runs in exactly the
  *    order one sequential loop would;
- *  - on its own StageWorker thread behind a bounded SPSC FIFO
+ *  - on its own WorkerThread behind a bounded SPSC FIFO
  *    (StageRunControl::overlap, BatchConfig::stagePipeline), so the
  *    traceback of job i overlaps the fill of job i+1. The FIFO bound
  *    is the decoupling depth: capacity 1 degenerates to a lockstep
@@ -161,7 +161,7 @@ struct StageRunControl
  * Run one shard as @p produce feeding @p consume. produce(emit) calls
  * emit(Item &&) once per work item; consume(Item &) retires each item,
  * in emission order and always on one thread. With ctl.overlap off the
- * consumer runs inline inside emit(); with it on, on a StageWorker
+ * consumer runs inline inside emit(); with it on, on a WorkerThread
  * draining a BoundedFifo of ctl.fifoDepth items. Returns once every
  * emitted item has been consumed.
  */
@@ -174,14 +174,14 @@ runStages(const StageRunControl &ctl, Produce &&produce, Consume &&consume)
         return;
     }
     BoundedFifo<Item> fifo(static_cast<size_t>(ctl.fifoDepth));
-    StageWorker consumer([&] {
+    WorkerThread consumer([&] {
         while (auto item = fifo.pop())
             consume(*item);
     });
     try {
         produce([&](Item &&item) { fifo.push(std::move(item)); });
     } catch (...) {
-        // Unblock the consumer before ~StageWorker joins it.
+        // Unblock the consumer before ~WorkerThread joins it.
         fifo.close();
         throw;
     }

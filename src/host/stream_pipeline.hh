@@ -35,9 +35,9 @@
  *    backend can take fails loudly at submission with its index and
  *    shape.
  *  - Shards wait in **per-backend dispatch queues**, not FIFO: each
- *    device channel (and the CPU/GPU backend) pulls its
- *    highest-priority queued shard next, ties broken by earliest
- *    deadline, then submission order. TicketOptions carries the
+ *    free worker starts the highest-priority shard queued on a device
+ *    channel (or the CPU/GPU backend) that can take one, ties broken by
+ *    earliest deadline, then submission order. TicketOptions carries the
  *    priority, deadline and tag; with no options every ticket is class
  *    0 with no deadline and dispatch degrades to exact FIFO. Deadline
  *    misses are counted per backend (ChannelStats/BackendStats
@@ -60,10 +60,12 @@
  *    lane-group boundaries; the rest of the shard re-queues.
  *  - Host worker **threads are decoupled from NK**: with the lane
  *    engine one thread can saturate several modeled channels, so
- *    BatchConfig::threads sizes the pool independently (0 = one thread
- *    per channel, the old arrangement). When threads are scarcer than
- *    runnable shards the pool pops tasks in the same (priority,
- *    deadline, FIFO) order as the dispatch queues.
+ *    BatchConfig::threads sets the worker count independently (0 = one
+ *    worker per channel). Workers pull shards straight from the
+ *    dispatch queues, so a shard is scheduled once, when a worker
+ *    starts it: when workers are scarcer than runnable shards, a ticket
+ *    that arrives late still overtakes every lower-class shard no
+ *    worker has started.
  *
  * pause()/resume() gate dispatch without blocking submission: while
  * paused, submitted shards accumulate in the dispatch queues and
@@ -71,8 +73,7 @@
  * benches) batch a backlog and observe a deterministic dispatch order.
  *
  * drain() remains as a compatibility wrapper that waits for every
- * outstanding ticket and aggregates in submission order; BatchPipeline
- * (host/batch_pipeline.hh) is now an alias of this class. For a single
+ * outstanding ticket and aggregates in submission order. For a single
  * batch, results, CIGARs and per-job device cycles are bit-identical to
  * the old pipeline (enforced by tests/test_stream_pipeline.cc), and the
  * priority machinery is transparent when unused (enforced by
@@ -176,11 +177,12 @@ struct BatchConfig
     int nb = 16;                   //!< blocks per channel (arbiter width)
     int nk = 4;                    //!< independent device channels
     /**
-     * Host worker threads, decoupled from NK: 0 (the default) sizes
-     * the pool at one thread per channel; with SIMD lanes a single
-     * thread can saturate several modeled channels, so fewer threads
-     * than channels is a legitimate configuration. Accounting is
-     * modeled (cycle-domain), so thread count never changes results or
+     * Host worker threads, decoupled from NK: 0 (the default) runs one
+     * worker per channel; with SIMD lanes a single thread can saturate
+     * several modeled channels, so fewer workers than channels is a
+     * legitimate configuration. Each worker takes the best startable
+     * shard across every dispatch queue. Accounting is modeled
+     * (cycle-domain), so the worker count never changes results or
      * statistics — only host wall-clock.
      */
     int threads = 0;
@@ -256,14 +258,14 @@ struct BatchConfig
     /** Result-cache shard count (lock granularity). */
     size_t cacheShards = 8;
     /**
-     * Anti-starvation aging for the dispatch queues (and the worker
-     * pool): every N-th pop from a queue takes the *oldest* queued
-     * shard (lowest submission sequence) instead of the
-     * highest-priority one, so a saturating high-priority stream
-     * cannot keep bulk-class shards queued for more than N-1
-     * consecutive pops. 0 (the default) disables aging and preserves
-     * the exact (priority, deadline, FIFO) order — the transparency
-     * guarantees of the priority machinery are unchanged.
+     * Anti-starvation aging for the dispatch queues: every N-th pop
+     * (one counter across all slots) takes the *oldest* queued shard
+     * (lowest submission sequence) among the slots that may start one
+     * instead of the highest-priority one, so a saturating
+     * high-priority stream cannot keep bulk-class shards queued for
+     * more than N-1 consecutive pops. 0 (the default) disables aging
+     * and preserves the exact (priority, deadline, FIFO) order — the
+     * transparency guarantees of the priority machinery are unchanged.
      */
     int agingEvery = 0;
     /**
@@ -445,17 +447,20 @@ namespace detail {
 
 /**
  * Shared dispatch state: one queue of pending shards per backend slot
- * (NK device channels, then the CPU backend, then the GPU model),
- * popped in (priority, deadline, FIFO) order up to the slot's
- * concurrency capacity — 1 for the stateful device channels, the pool
- * width for the stateless CPU/GPU backends, which therefore keep
- * serving shards of different tickets concurrently as they did before
- * the dispatch queues existed. The pipeline holds the owning
- * shared_ptr; tickets hold a weak_ptr upgraded on cancel(), so a
- * cancel() races pipeline destruction safely: ~StreamPipeline drains
- * every queue before its backends die, and once the core itself is
- * gone the upgrade simply fails and cancel() only flips the ticket
- * flag (nothing queued can remain by then).
+ * (NK device channels, then the CPU backend, then the GPU model), and
+ * the one scheduler the pipeline's workers pull from. A worker waits
+ * until some slot below its concurrency capacity — 1 for the stateful
+ * device channels, the worker count for the stateless CPU/GPU backends,
+ * which therefore serve shards of different tickets concurrently — has
+ * a queued shard, then takes the best queue head among those slots in
+ * (priority, deadline, FIFO) order. A shard therefore leaves its queue
+ * only when a worker starts it, and a late higher-priority ticket still
+ * overtakes every shard no worker has started. The pipeline holds the
+ * owning shared_ptr; tickets hold a weak_ptr upgraded on cancel(), so a
+ * cancel() races pipeline destruction safely: ~StreamPipeline lets the
+ * workers empty every queue before its backends die, and once the core
+ * itself is gone the upgrade simply fails and cancel() only flips the
+ * ticket flag (nothing queued can remain by then).
  */
 template <core::KernelSpec K>
 class DispatchCore
@@ -476,7 +481,7 @@ class DispatchCore
     };
 
     /** Dispatch order: entryBefore() as a strict weak ordering (seq is
-     *  unique, so it is in fact total — pops are deterministic). */
+     *  unique within a slot, so it is in fact total there). */
     struct EntryOrder
     {
         bool
@@ -486,17 +491,18 @@ class DispatchCore
         }
     };
 
-    /** One backend execution slot and its dispatch queue. */
+    using Queue = std::multiset<ShardEntry, EntryOrder>;
+
+    /**
+     * One backend execution slot and its dispatch queue. Every field
+     * but queuedMicros is guarded by DispatchCore::_mutex.
+     */
     struct Slot
     {
-        /** Protects queue and busy. Rank-checked: slot locks never
-         *  nest (neither with each other nor inside other host locks
-         *  of equal-or-higher rank). */
-        DebugMutex mutex{lockrank::kDispatchSlot, "dispatch-slot"};
         int busy = 0;     //!< shards currently executing (<= capacity)
         /**
          * Concurrent-shard limit: 1 for stateful device channels (the
-         * engine serializes), pool width for the stateless CPU/GPU
+         * engine serializes), the worker count for the stateless CPU/GPU
          * backends (MatrixAligner::align is const, so shards of
          * different tickets may run concurrently).
          */
@@ -505,19 +511,17 @@ class DispatchCore
          * Pending shards, best-first: O(log n) insert and pop keep a
          * large paused backlog's release at O(n log n) overall (a
          * linear scan per pop would make it quadratic). Cancellation
-         * still scans — it is the rare path.
+         * and aging pops still scan — they are the rare paths.
          */
-        std::multiset<ShardEntry, EntryOrder> queue;
-        /** Estimated seconds of routed-but-unfinished work. */
+        Queue queue;
+        /** Estimated seconds of routed-but-unfinished work (lock-free). */
         std::atomic<int64_t> queuedMicros{0};
-        /** Pops so far (aging phase); guarded by mutex. */
-        uint64_t pops = 0;
         /**
          * Preemption target: token of the device shard occupying the
          * slot (null while idle, when preemption is disabled, and on
-         * the CPU/GPU slots); guarded by mutex. The token outlives its
-         * registration — it lives on the running worker's stack and is
-         * deregistered before the run returns.
+         * the CPU/GPU slots). The token outlives its registration — it
+         * lives on the running worker's stack and is deregistered
+         * before the shard releases its slot.
          */
         PreemptToken *runningToken = nullptr;
         /** Priority of the running shard (valid with runningToken). */
@@ -530,9 +534,6 @@ class DispatchCore
           _agingEvery(std::max(0, aging_every)),
           _slots(static_cast<size_t>(nk) + 2)
     {}
-
-    /** Anti-starvation period (0 = strict priority order). */
-    int agingEvery() const { return _agingEvery; }
 
     int cpuSlot() const { return _nk; }
     int gpuSlot() const { return _nk + 1; }
@@ -578,6 +579,36 @@ class DispatchCore
     ChannelStats &acctFor(BatchTicket<K> &ticket, int s);
 
     /**
+     * Queue one ticket's (slot, shard) pairs. With @p preemption a
+     * strictly-higher-priority arrival asks the device shard occupying
+     * its slot to yield at its next job boundary (not while paused:
+     * nothing would start in its place).
+     */
+    void push(std::vector<std::pair<int, ShardEntry>> &entries,
+              bool preemption);
+
+    /**
+     * Worker side: block until a slot below capacity has a queued shard,
+     * pop the best such queue head — or, on every agingEvery-th pop, the
+     * oldest submission among them — claim one unit of its slot's
+     * capacity and return the slot index. Cross-slot ties go to the
+     * lower slot. Shards of cancelled tickets met at the pop are retired
+     * here, not returned. Returns -1 once stop() was called and every
+     * queue is empty.
+     */
+    int take(ShardEntry &out);
+
+    /** Register slot @p s's preemption target (release() drops it). */
+    void setRunning(int s, PreemptToken *token, int priority);
+
+    /**
+     * Give back the capacity unit take() claimed on slot @p s, dropping
+     * its preemption target and queueing @p remainder (a preempted
+     * shard's unstarted jobs) first when given.
+     */
+    void release(int s, ShardEntry *remainder);
+
+    /**
      * Drop every queued shard of @p ticket, accounting the dropped jobs
      * as cancelled on the backend they were queued for and retiring
      * their shards (the last retire completes the ticket). In-flight
@@ -594,8 +625,15 @@ class DispatchCore
      */
     void finishShard(BatchTicket<K> &ticket);
 
-    /** Dispatch gate: while set, pumps leave queued shards in place. */
-    std::atomic<bool> paused{false};
+    /** Dispatch gate: while paused, shards queue but none starts. */
+    void pause();
+    void resume();
+
+    /**
+     * Shutdown: lift any pause and let each worker's take() return -1
+     * as soon as it finds every queue empty.
+     */
+    void stop();
 
   private:
     static int64_t
@@ -604,12 +642,29 @@ class DispatchCore
         return static_cast<int64_t>(std::llround(seconds * 1e6));
     }
 
+    /** Account a dropped shard as cancelled and retire it. */
+    void retire(int s, const ShardEntry &entry);
+
+    /** True when some slot below capacity has a queued shard. */
+    bool startableLocked();
+
     int _nk;
     double _fmaxMhz;
     double _cpuMhz;
     int _agingEvery;
     std::atomic<uint64_t> _seq{0};
     std::deque<Slot> _slots; //!< deque: Slot is neither movable nor copyable
+    /**
+     * Guards the slots' queues, occupancy and preemption targets, the
+     * pop counter and the gates. Rank-checked; never held while a
+     * backend runs or a completion callback fires.
+     */
+    DebugMutex _mutex{lockrank::kDispatchSlot, "dispatch"};
+    /** Idle workers wait here for a shard they may start. */
+    std::condition_variable_any _work;
+    uint64_t _pops = 0; //!< pops so far (aging phase)
+    bool _paused = false;
+    bool _stopping = false;
 };
 
 } // namespace detail
@@ -738,13 +793,140 @@ DispatchCore<K>::acctFor(BatchTicket<K> &ticket, int s)
 
 template <core::KernelSpec K>
 void
+DispatchCore<K>::push(std::vector<std::pair<int, ShardEntry>> &entries,
+                      bool preemption)
+{
+    std::lock_guard lock(_mutex);
+    for (auto &[s, entry] : entries) {
+        Slot &sl = slot(s);
+        if (preemption && sl.runningToken != nullptr &&
+            entry.priority > sl.runningPriority && !_paused) {
+            sl.runningToken->request();
+        }
+        sl.queue.insert(std::move(entry));
+        _work.notify_one();
+    }
+}
+
+template <core::KernelSpec K>
+bool
+DispatchCore<K>::startableLocked()
+{
+    if (_paused)
+        return false;
+    for (const Slot &sl : _slots) {
+        if (sl.busy < sl.capacity && !sl.queue.empty())
+            return true;
+    }
+    return false;
+}
+
+template <core::KernelSpec K>
+int
+DispatchCore<K>::take(ShardEntry &out)
+{
+    for (;;) {
+        int best = -1;
+        ShardEntry entry;
+        bool start = false;
+        {
+            std::unique_lock lock(_mutex);
+            _work.wait(lock, [&] {
+                if (startableLocked())
+                    return true;
+                if (!_stopping)
+                    return false;
+                return std::all_of(_slots.begin(), _slots.end(),
+                                   [](const Slot &sl) {
+                                       return sl.queue.empty();
+                                   });
+            });
+            if (!startableLocked()) {
+                // Stopping with nothing left: wake the other idle
+                // workers so they see it too.
+                _work.notify_all();
+                return -1;
+            }
+            // Aging pop: the oldest submission runs regardless of
+            // priority, bounding bulk-class queueing under a saturating
+            // high-priority stream.
+            _pops++;
+            const bool aging = _agingEvery > 0 &&
+                               _pops % static_cast<uint64_t>(_agingEvery) ==
+                                   0;
+            typename Queue::iterator pick;
+            for (int s = 0; s < slotCount(); s++) {
+                Slot &sl = slot(s);
+                if (sl.busy >= sl.capacity || sl.queue.empty())
+                    continue;
+                auto head = aging
+                                ? std::min_element(
+                                      sl.queue.begin(), sl.queue.end(),
+                                      [](const ShardEntry &a,
+                                         const ShardEntry &b) {
+                                          return a.seq < b.seq;
+                                      })
+                                : sl.queue.begin();
+                // Strict comparisons: ties keep the lower slot.
+                if (best < 0 || (aging ? head->seq < pick->seq
+                                       : entryBefore(*head, *pick))) {
+                    best = s;
+                    pick = head;
+                }
+            }
+            entry = std::move(slot(best).queue.extract(pick).value());
+            // Decide under the lock: if the shard starts, its capacity
+            // unit must be owned by exactly this pop.
+            start = !entry.ticket->cancelled();
+            if (start)
+                slot(best).busy++;
+        }
+        if (!start) {
+            retire(best, entry);
+            continue;
+        }
+        out = std::move(entry);
+        return best;
+    }
+}
+
+template <core::KernelSpec K>
+void
+DispatchCore<K>::setRunning(int s, PreemptToken *token, int priority)
+{
+    std::lock_guard lock(_mutex);
+    slot(s).runningToken = token;
+    slot(s).runningPriority = priority;
+}
+
+template <core::KernelSpec K>
+void
+DispatchCore<K>::release(int s, ShardEntry *remainder)
+{
+    std::lock_guard lock(_mutex);
+    Slot &sl = slot(s);
+    sl.runningToken = nullptr;
+    sl.runningPriority = 0;
+    // A cancel() racing this insert is safe: dropTicket or take()'s
+    // cancelled-entry discard retires the shard either way, exactly once.
+    if (remainder != nullptr)
+        sl.queue.insert(std::move(*remainder));
+    sl.busy--;
+    // The releasing worker still has the path-stats merge and the
+    // completion callback ahead: hand the slot's next shard to an idle
+    // worker so it overlaps them.
+    if (!sl.queue.empty())
+        _work.notify_one();
+}
+
+template <core::KernelSpec K>
+void
 DispatchCore<K>::dropTicket(BatchTicket<K> &ticket)
 {
-    for (int s = 0; s < slotCount(); s++) {
-        ShardEntry dropped;
-        bool found = false;
-        {
-            std::lock_guard lock(slot(s).mutex);
+    std::vector<std::pair<int, ShardEntry>> dropped;
+    {
+        std::lock_guard lock(_mutex);
+        for (int s = 0; s < slotCount(); s++) {
             auto &q = slot(s).queue;
             // At most one entry per (ticket, slot): routing emits one
             // shard per backend slot per batch.
@@ -752,21 +934,51 @@ DispatchCore<K>::dropTicket(BatchTicket<K> &ticket)
                                    [&](const ShardEntry &e) {
                                        return e.ticket.get() == &ticket;
                                    });
-            if (it != q.end()) {
-                auto node = q.extract(it);
-                dropped = std::move(node.value());
-                found = true;
-            }
+            if (it != q.end())
+                dropped.emplace_back(s, std::move(q.extract(it).value()));
         }
-        if (!found)
-            continue;
-        noteCompleted(s, dropped.estSeconds);
-        // No writer race: the entry is out of its queue, so no worker
-        // will account this (ticket, slot) bucket concurrently.
-        acctFor(ticket, s).cancelled +=
-            static_cast<int>(dropped.indices.size());
-        finishShard(ticket);
     }
+    for (const auto &[s, entry] : dropped)
+        retire(s, entry);
+}
+
+template <core::KernelSpec K>
+void
+DispatchCore<K>::retire(int s, const ShardEntry &entry)
+{
+    noteCompleted(s, entry.estSeconds);
+    // No writer race: the entry is out of its queue, so no worker will
+    // account this (ticket, slot) bucket concurrently.
+    acctFor(*entry.ticket, s).cancelled +=
+        static_cast<int>(entry.indices.size());
+    finishShard(*entry.ticket);
+}
+
+template <core::KernelSpec K>
+void
+DispatchCore<K>::pause()
+{
+    std::lock_guard lock(_mutex);
+    _paused = true;
+}
+
+template <core::KernelSpec K>
+void
+DispatchCore<K>::resume()
+{
+    std::lock_guard lock(_mutex);
+    _paused = false;
+    _work.notify_all();
+}
+
+template <core::KernelSpec K>
+void
+DispatchCore<K>::stop()
+{
+    std::lock_guard lock(_mutex);
+    _paused = false;
+    _stopping = true;
+    _work.notify_all();
 }
 
 template <core::KernelSpec K>
@@ -807,16 +1019,15 @@ DispatchCore<K>::finishShard(BatchTicket<K> &ticket)
  * cancel() may be called concurrently from any thread. Completion
  * callbacks usually run on a worker thread, but fire synchronously on
  * the thread that retires the ticket's last shard: submit() of an
- * empty batch, a cancel() that drops the last queued shard, or a
- * resume()/submit() whose pump discards a cancelled entry — callbacks
- * must not throw, must never wait on their own ticket, and must not
- * take locks the cancelling/submitting thread may already hold.
- * Destroying the
- * pipeline drains every queued and in-flight shard first (releasing a
- * pause if one is active), so held tickets complete (and become
- * collectible) even when the pipeline dies before they are waited on —
- * including cancelled-but-unwaited tickets, whose callbacks have
- * already run or been destroyed with the ticket, never leaked.
+ * empty batch, or a cancel() that drops the last queued shard —
+ * callbacks must not throw, must never wait on their own ticket, and
+ * must not take locks the cancelling/submitting thread may already
+ * hold. Destroying the pipeline drains every queued and in-flight
+ * shard first (releasing a pause if one is active), so held tickets
+ * complete (and become collectible) even when the pipeline dies before
+ * they are waited on — including cancelled-but-unwaited tickets, whose
+ * callbacks have already run or been destroyed with the ticket, never
+ * leaked.
  */
 template <core::KernelSpec K>
 class StreamPipeline
@@ -833,12 +1044,12 @@ class StreamPipeline
     explicit StreamPipeline(BatchConfig cfg = {},
                             Params params = K::defaultParams())
         : _cfg(cfg), _params(params),
-          _cache(cfg.cacheEntries, cfg.cacheShards),
-          _pool(poolThreads(cfg), cfg.agingEvery)
+          _cache(cfg.cacheEntries, cfg.cacheShards)
     {
         _cfg.nk = std::max(1, _cfg.nk);
         _cfg.nb = std::max(1, _cfg.nb);
-        _cfg.threads = poolThreads(cfg);
+        _cfg.threads = std::max(1, _cfg.threads > 0 ? _cfg.threads
+                                                    : _cfg.nk);
         _cfg.agingEvery = std::max(0, _cfg.agingEvery);
         _cfg.stageFifoDepth = std::max(1, _cfg.stageFifoDepth);
         _cfg.laneWidth = std::clamp(_cfg.laneWidth, 1,
@@ -883,6 +1094,24 @@ class StreamPipeline
                 _params, _cfg.bandWidth, gpu_threads,
                 _cfg.skipTraceback);
         }
+        try {
+            for (int t = 0; t < _cfg.threads; t++) {
+                _workers.emplace_back([this] {
+                    for (;;) {
+                        ShardEntry entry;
+                        const int s = _core->take(entry);
+                        if (s < 0)
+                            return;
+                        runShard(s, entry);
+                    }
+                });
+            }
+        } catch (...) {
+            // A thread that failed to start: let the started workers
+            // exit so their destructors can join them.
+            _core->stop();
+            throw;
+        }
     }
 
     /**
@@ -892,16 +1121,18 @@ class StreamPipeline
      */
     ~StreamPipeline()
     {
-        resume();
-        // After the pool idles the dispatch queues are empty (every
-        // pop chains the next pump before its task retires), so a
-        // concurrent ticket cancel() can no longer reach backend state.
-        _pool.wait();
+        // Each worker exits only once it finds every queue empty, and a
+        // worker inside runShard — its completion callback included —
+        // comes back to look, so follow-up tickets a callback submits
+        // run too. Once all have joined, a concurrent ticket cancel()
+        // can no longer reach backend state.
+        _core->stop();
+        _workers.clear();
     }
 
     const BatchConfig &config() const { return _cfg; }
     int channelCount() const { return _cfg.nk; }
-    int threadCount() const { return _pool.threadCount(); }
+    int threadCount() const { return static_cast<int>(_workers.size()); }
 
     /** Resolved host SIMD tier the device channels dispatch to. */
     sim::IsaTier activeIsaTier() const { return _resolvedTier; }
@@ -913,20 +1144,10 @@ class StreamPipeline
      * Stop starting new shards; submissions still queue (in scheduling
      * order) until resume(). Shards already running finish normally.
      */
-    void
-    pause()
-    {
-        _core->paused.store(true, std::memory_order_release);
-    }
+    void pause() { _core->pause(); }
 
     /** Re-open dispatch and release queued shards in scheduling order. */
-    void
-    resume()
-    {
-        _core->paused.store(false, std::memory_order_release);
-        for (int s = 0; s < _core->slotCount(); s++)
-            pump(s);
-    }
+    void resume() { _core->resume(); }
 
     /**
      * Enqueue an owned batch for asynchronous execution; the returned
@@ -1138,13 +1359,6 @@ class StreamPipeline
   private:
     using Core = detail::DispatchCore<K>;
     using ShardEntry = typename Core::ShardEntry;
-
-    static int
-    poolThreads(const BatchConfig &cfg)
-    {
-        return std::max(1, cfg.threads > 0 ? cfg.threads
-                                           : std::max(1, cfg.nk));
-    }
 
     /** True when the Threshold policy routes @p job to the CPU backend. */
     bool
@@ -1468,100 +1682,16 @@ class StreamPipeline
             return;
         }
 
-        for (auto &[slot, entry] : entries) {
+        for (const auto &[slot, entry] : entries)
             _core->noteEnqueued(slot, entry.estSeconds);
-            const int prio = entry.priority;
-            {
-                std::lock_guard lock(_core->slot(slot).mutex);
-                auto &sl = _core->slot(slot);
-                sl.queue.insert(std::move(entry));
-                // A strictly-higher-priority arrival asks the device
-                // shard occupying the slot to yield at its next job
-                // boundary (pointless while paused: nothing would
-                // start in its place).
-                if (_cfg.preemption && sl.runningToken != nullptr &&
-                    prio > sl.runningPriority &&
-                    !_core->paused.load(std::memory_order_acquire)) {
-                    sl.runningToken->request();
-                }
-            }
-            pump(slot);
-        }
+        _core->push(entries, _cfg.preemption);
     }
 
     /**
-     * Start queued shards of slot @p s, best first, until its
-     * concurrency capacity is full or dispatch is paused. Shards of
-     * cancelled tickets are dropped here when the cancel() raced the
-     * queue scan.
-     */
-    void
-    pump(int s)
-    {
-        auto &slot = _core->slot(s);
-        for (;;) {
-            ShardEntry entry;
-            bool start = false;
-            {
-                std::lock_guard lock(slot.mutex);
-                if (slot.busy >= slot.capacity ||
-                    _core->paused.load(std::memory_order_acquire) ||
-                    slot.queue.empty()) {
-                    return;
-                }
-                auto it = slot.queue.begin();
-                slot.pops++;
-                if (_core->agingEvery() > 0 && slot.queue.size() > 1 &&
-                    slot.pops % static_cast<uint64_t>(
-                                    _core->agingEvery()) ==
-                        0) {
-                    // Aging pop: the oldest submission runs regardless
-                    // of priority, bounding bulk-class queueing under a
-                    // saturating high-priority stream.
-                    it = std::min_element(
-                        slot.queue.begin(), slot.queue.end(),
-                        [](const ShardEntry &a, const ShardEntry &b) {
-                            return a.seq < b.seq;
-                        });
-                }
-                auto node = slot.queue.extract(it);
-                entry = std::move(node.value());
-                // Decide under the lock: if the shard starts, its
-                // capacity unit must be owned by exactly this pop.
-                start = !entry.ticket->cancelled();
-                if (start)
-                    slot.busy++;
-            }
-            if (!start) {
-                _core->noteCompleted(s, entry.estSeconds);
-                _core->acctFor(*entry.ticket, s).cancelled +=
-                    static_cast<int>(entry.indices.size());
-                _core->finishShard(*entry.ticket);
-                continue;
-            }
-            TaskOptions attrs;
-            attrs.priority = entry.priority;
-            if (entry.deadline !=
-                detail::DispatchCore<K>::Clock::time_point::max()) {
-                attrs.deadlineSeconds =
-                    std::chrono::duration<double>(
-                        entry.deadline.time_since_epoch())
-                        .count();
-            }
-            // shared_ptr capture: std::function requires copyability.
-            auto shared = std::make_shared<ShardEntry>(std::move(entry));
-            _pool.submit([this, s, shared] { runShard(s, *shared); },
-                         attrs);
-            // Loop on: a slot with spare capacity starts its next-best
-            // shard too (only the CPU/GPU slots have capacity > 1).
-        }
-    }
-
-    /**
-     * Execute one popped shard on slot @p s, then chain the pump. A
-     * device shard may stop early at a job or lane-group boundary: on
-     * preemption its unstarted jobs re-queue as a remainder shard with
-     * the same submission sequence (the ticket stays pending across
+     * Execute one shard a worker took from slot @p s. A device shard
+     * may stop early at a job or lane-group boundary: on preemption its
+     * unstarted jobs re-queue as a remainder shard with the same
+     * submission sequence (the ticket stays pending across
      * resumptions); on cancellation they are accounted as cancelled
      * and the shard retires.
      */
@@ -1569,7 +1699,6 @@ class StreamPipeline
     runShard(int s, ShardEntry &entry)
     {
         BatchTicket<K> &ticket = *entry.ticket;
-        auto &slot = _core->slot(s);
         AlignBackend<K> *backend;
         if (s < _cfg.nk)
             backend = _channels[static_cast<size_t>(s)].get();
@@ -1589,19 +1718,11 @@ class StreamPipeline
         ctl.fifoDepth = _cfg.stageFifoDepth;
         if (preemptible) {
             ctl.preempt = &token;
-            std::lock_guard lock(slot.mutex);
-            slot.runningToken = &token;
-            slot.runningPriority = entry.priority;
+            _core->setRunning(s, &token, entry.priority);
         }
 
         backend->run(ticket.jobs(), entry.indices, ticket._results.data(),
                      ticket._cycles.data(), acct, ctl);
-
-        if (preemptible) {
-            std::lock_guard lock(slot.mutex);
-            slot.runningToken = nullptr;
-            slot.runningPriority = 0;
-        }
 
         // Split by writeback outcome (grouping backends may finish out
         // of submission order, so this is not a prefix split); when
@@ -1631,6 +1752,7 @@ class StreamPipeline
 
         const bool requeue = ctl.preempted && !remainder.empty() &&
                              !ticket.cancelled();
+        ShardEntry rest;
         if (requeue) {
             // Split the backlog estimate across the resumptions in
             // proportion to the work done, so the queued-seconds
@@ -1639,36 +1761,29 @@ class StreamPipeline
                 static_cast<double>(ran) / static_cast<double>(n);
             _core->noteCompleted(s, est_done);
             acct.preemptions++;
-            ShardEntry rest;
             rest.ticket = entry.ticket;
             rest.indices = std::move(remainder);
             rest.estSeconds = entry.estSeconds - est_done;
             rest.priority = entry.priority;
             rest.deadline = entry.deadline;
             rest.seq = entry.seq; // keeps its FIFO-tiebreak position
-            {
-                std::lock_guard lock(slot.mutex);
-                slot.queue.insert(std::move(rest));
-            }
-            // A cancel() racing this insert is safe: dropTicket or the
-            // pump's cancelled-entry discard retires the shard either
-            // way, exactly once.
         } else {
             acct.cancelled += static_cast<int>(remainder.size());
             _core->noteCompleted(s, entry.estSeconds);
         }
 
+        // A re-queued remainder may finish the ticket on another worker
+        // as soon as the slot is free, so merge this part's paths first.
+        if (requeue) {
+            collectPaths(ticket, entry.indices, ctl.done);
+            _core->release(s, &rest);
+            return;
+        }
         // Free the slot before the (possibly slow) path-stats merge and
         // completion callback, so the next shard overlaps them.
-        {
-            std::lock_guard lock(slot.mutex);
-            slot.busy--;
-        }
-        pump(s);
-
+        _core->release(s, nullptr);
         collectPaths(ticket, entry.indices, ctl.done);
-        if (!requeue)
-            _core->finishShard(ticket);
+        _core->finishShard(ticket);
     }
 
     /** Merge the path statistics of the shard jobs that wrote back. */
@@ -1708,10 +1823,10 @@ class StreamPipeline
     std::vector<std::unique_ptr<AlignBackend<K>>> _channels;
     std::unique_ptr<CpuBaselineBackend<K>> _cpu;
     std::unique_ptr<GpuModelBackend<K>> _gpu;
-    // Declared last: ~ThreadPool drains every queued shard task, so the
-    // pool must be destroyed before the channels/backends those tasks
-    // reference (pipeline destroyed with in-flight tickets).
-    ThreadPool _pool;
+    // Declared last: the workers run shards on the channels/backends
+    // above, so they must be joined before those are destroyed (the
+    // destructor joins them explicitly; this order keeps it true).
+    std::deque<WorkerThread> _workers;
 };
 
 } // namespace dphls::host

@@ -60,7 +60,7 @@ namespace dphls::sim {
 
 /**
  * Lockstep multi-pair aligner for kernel @p K. One group of at most
- * `maxLanes` pairs per alignLanes() call; the host (BatchPipeline)
+ * `maxLanes` pairs per alignLanes() call; the host (StreamPipeline)
  * forms the groups.
  */
 template <core::KernelSpec K>

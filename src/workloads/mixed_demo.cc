@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "host/latency_probe.hh"
 #include "model/frequency_model.hh"
 #include "seq/read_simulator.hh"
 #include "seq/squiggle.hh"
@@ -188,8 +189,8 @@ runMixedDemo(const MixedDemoConfig &cfg, bool concurrent)
         model::kernelFrequencyMhz<ReadMapper::Kernel>();
     const double sig_fmax =
         model::kernelFrequencyMhz<StreamingBasecaller::Kernel>();
-    auto dna_probe = std::make_shared<ClassLatencyProbe>(dna_fmax);
-    auto sig_probe = std::make_shared<ClassLatencyProbe>(sig_fmax);
+    auto dna_probe = std::make_shared<host::ClassLatencyProbe>(dna_fmax);
+    auto sig_probe = std::make_shared<host::ClassLatencyProbe>(sig_fmax);
     dna.pause();
     signal.pause();
 
@@ -203,7 +204,7 @@ runMixedDemo(const MixedDemoConfig &cfg, bool concurrent)
             jobs, std::move(topt),
             [dna_probe](host::BatchTicket<ReadMapper::Kernel> &t) {
                 dna_probe->record(t.stats().makespanCycles,
-                                  ClassLatencyProbe::Bulk);
+                                  host::ClassLatencyProbe::Bulk);
             }));
         out.tickets++;
     }
@@ -217,7 +218,7 @@ runMixedDemo(const MixedDemoConfig &cfg, bool concurrent)
             dna, read, std::move(topt),
             [dna_probe](host::BatchTicket<ReadMapper::Kernel> &t) {
                 dna_probe->record(t.stats().makespanCycles,
-                                  ClassLatencyProbe::Interactive);
+                                  host::ClassLatencyProbe::Interactive);
             }));
         if (map_pendings.back().ticket)
             out.tickets++;
@@ -232,7 +233,7 @@ runMixedDemo(const MixedDemoConfig &cfg, bool concurrent)
             [sig_probe](host::BatchTicket<StreamingBasecaller::Kernel>
                             &t) {
                 sig_probe->record(t.stats().makespanCycles,
-                                  ClassLatencyProbe::Realtime);
+                                  host::ClassLatencyProbe::Realtime);
             }));
         if (call_pendings.back().ticket)
             out.tickets++;
@@ -256,10 +257,10 @@ runMixedDemo(const MixedDemoConfig &cfg, bool concurrent)
     dna.drain();
     signal.drain();
 
-    out.latencies.realtime = sig_probe->of(ClassLatencyProbe::Realtime);
+    out.latencies.realtime = sig_probe->of(host::ClassLatencyProbe::Realtime);
     out.latencies.interactive =
-        dna_probe->of(ClassLatencyProbe::Interactive);
-    out.latencies.bulk = dna_probe->of(ClassLatencyProbe::Bulk);
+        dna_probe->of(host::ClassLatencyProbe::Interactive);
+    out.latencies.bulk = dna_probe->of(host::ClassLatencyProbe::Bulk);
     return out;
 }
 

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "host/check.hh"
 #include "host/stream_pipeline.hh"
 #include "workloads/basecaller.hh"
 #include "workloads/mapper.hh"
@@ -93,48 +92,6 @@ struct MixedDemoResult
  * result fields except `latencies`/`tickets` must match exactly.
  */
 MixedDemoResult runMixedDemo(const MixedDemoConfig &cfg, bool concurrent);
-
-/**
- * Cycle-domain completion-latency recorder for the three classes
- * (TwoClassLatencyProbe generalized). record() is called from ticket
- * completion callbacks; the cumulative busy-cycle clock is per probe,
- * so attach one probe per pipeline.
- */
-class ClassLatencyProbe
-{
-  public:
-    enum Class
-    {
-        Realtime = 0,
-        Interactive = 1,
-        Bulk = 2
-    };
-
-    explicit ClassLatencyProbe(double fmax_mhz) : _fmaxMhz(fmax_mhz) {}
-
-    void
-    record(uint64_t makespan_cycles, Class cls)
-    {
-        std::lock_guard lock(_mutex);
-        _cumCycles += makespan_cycles;
-        const double seconds =
-            static_cast<double>(_cumCycles) / (_fmaxMhz * 1e6);
-        _latencies[cls].push_back(seconds);
-    }
-
-    /** Read only after every ticket completed. */
-    const std::vector<double> &of(Class cls) const
-    {
-        return _latencies[cls];
-    }
-
-  private:
-    double _fmaxMhz;
-    host::DebugMutex _mutex{host::lockrank::kWorkloadProbe,
-                            "workload-probe"};
-    uint64_t _cumCycles = 0;
-    std::vector<double> _latencies[3];
-};
 
 } // namespace dphls::workloads
 

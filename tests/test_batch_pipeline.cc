@@ -1,9 +1,10 @@
 /**
  * @file
- * BatchPipeline tests: batched results must be bit-identical to
- * sequential single-job engine runs across channel counts and odd batch
- * sizes, the async submit()/drain() path must preserve submission order,
- * and the cycle/path accounting must be consistent.
+ * Batch tests (runAll, submit + drain): batched results must be
+ * bit-identical to sequential single-job engine runs across channel
+ * counts and odd batch sizes, the async submit()/drain() path must
+ * preserve submission order, and the cycle/path accounting must be
+ * consistent.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <thread>
 
 #include "helpers.hh"
-#include "host/batch_pipeline.hh"
+#include "host/stream_pipeline.hh"
 #include "kernels/all.hh"
 
 using namespace dphls;
@@ -19,7 +20,7 @@ using namespace dphls;
 namespace {
 
 template <typename K>
-using Jobs = std::vector<typename host::BatchPipeline<K>::Job>;
+using Jobs = std::vector<typename host::StreamPipeline<K>::Job>;
 
 Jobs<kernels::LocalAffine>
 dnaJobs(int n, uint64_t seed)
@@ -49,7 +50,7 @@ proteinJobs(int n, uint64_t seed)
 
 /** Sequential single-job engine runs with the same engine options. */
 template <typename K>
-std::vector<typename host::BatchPipeline<K>::Result>
+std::vector<typename host::StreamPipeline<K>::Result>
 sequentialRuns(const Jobs<K> &jobs, const host::BatchConfig &cfg)
 {
     sim::EngineConfig ecfg;
@@ -59,7 +60,7 @@ sequentialRuns(const Jobs<K> &jobs, const host::BatchConfig &cfg)
     ecfg.maxReferenceLength = cfg.maxReferenceLength;
     ecfg.skipTraceback = cfg.skipTraceback;
     sim::SystolicAligner<K> engine(ecfg);
-    std::vector<typename host::BatchPipeline<K>::Result> out;
+    std::vector<typename host::StreamPipeline<K>::Result> out;
     out.reserve(jobs.size());
     for (const auto &j : jobs)
         out.push_back(engine.align(j.query, j.reference));
@@ -76,8 +77,8 @@ expectBitIdentical(const Jobs<K> &jobs, int nk)
     cfg.nk = nk;
     cfg.maxQueryLength = 512;
     cfg.maxReferenceLength = 512;
-    host::BatchPipeline<K> pipeline(cfg);
-    std::vector<typename host::BatchPipeline<K>::Result> got;
+    host::StreamPipeline<K> pipeline(cfg);
+    std::vector<typename host::StreamPipeline<K>::Result> got;
     const auto stats = pipeline.runAll(jobs, &got);
 
     const auto want = sequentialRuns<K>(jobs, cfg);
@@ -93,21 +94,21 @@ expectBitIdentical(const Jobs<K> &jobs, int nk)
 
 } // namespace
 
-TEST(BatchPipeline, DnaBitIdenticalAcrossChannelCounts)
+TEST(StreamPipelineBatch, DnaBitIdenticalAcrossChannelCounts)
 {
     const auto jobs = dnaJobs(24, 101);
     for (int nk : {1, 2, 8})
         expectBitIdentical<kernels::LocalAffine>(jobs, nk);
 }
 
-TEST(BatchPipeline, ProteinBitIdenticalAcrossChannelCounts)
+TEST(StreamPipelineBatch, ProteinBitIdenticalAcrossChannelCounts)
 {
     const auto jobs = proteinJobs(24, 102);
     for (int nk : {1, 2, 8})
         expectBitIdentical<kernels::ProteinLocal>(jobs, nk);
 }
 
-TEST(BatchPipeline, OddBatchSizes)
+TEST(StreamPipelineBatch, OddBatchSizes)
 {
     const int nk = 4;
     // 0, 1, NK-1, NK+1 jobs against NK channels.
@@ -119,34 +120,34 @@ TEST(BatchPipeline, OddBatchSizes)
     }
 }
 
-TEST(BatchPipeline, EmptyBatch)
+TEST(StreamPipelineBatch, EmptyBatch)
 {
-    host::BatchPipeline<kernels::LocalAffine> pipeline;
-    std::vector<host::BatchPipeline<kernels::LocalAffine>::Result> results;
+    host::StreamPipeline<kernels::LocalAffine> pipeline;
+    std::vector<host::StreamPipeline<kernels::LocalAffine>::Result> results;
     const auto stats = pipeline.runAll({}, &results);
     EXPECT_EQ(stats.alignments, 0);
     EXPECT_EQ(stats.makespanCycles, 0u);
     EXPECT_TRUE(results.empty());
 }
 
-TEST(BatchPipeline, AsyncSubmitDrainPreservesOrder)
+TEST(StreamPipelineBatch, AsyncSubmitDrainPreservesOrder)
 {
     const auto jobs = dnaJobs(20, 400);
     host::BatchConfig cfg;
     cfg.npe = 16;
     cfg.nk = 3;
-    host::BatchPipeline<kernels::LocalAffine> pipeline(cfg);
+    host::StreamPipeline<kernels::LocalAffine> pipeline(cfg);
 
     // Two batches submitted back-to-back; drained results must follow
     // submission order: jobs[0..11], then jobs[12..19].
-    std::vector<host::BatchPipeline<kernels::LocalAffine>::Job> first(
+    std::vector<host::StreamPipeline<kernels::LocalAffine>::Job> first(
         jobs.begin(), jobs.begin() + 12);
-    std::vector<host::BatchPipeline<kernels::LocalAffine>::Job> second(
+    std::vector<host::StreamPipeline<kernels::LocalAffine>::Job> second(
         jobs.begin() + 12, jobs.end());
     pipeline.submit(std::move(first));
     pipeline.submit(std::move(second));
 
-    std::vector<host::BatchPipeline<kernels::LocalAffine>::Result> got;
+    std::vector<host::StreamPipeline<kernels::LocalAffine>::Result> got;
     std::vector<uint64_t> cycles;
     const auto stats = pipeline.drain(&got, &cycles);
 
@@ -161,12 +162,12 @@ TEST(BatchPipeline, AsyncSubmitDrainPreservesOrder)
     }
 }
 
-TEST(BatchPipeline, ConcurrentProducersAllJobsExecute)
+TEST(StreamPipelineBatch, ConcurrentProducersAllJobsExecute)
 {
     host::BatchConfig cfg;
     cfg.npe = 8;
     cfg.nk = 4;
-    host::BatchPipeline<kernels::LocalAffine> pipeline(cfg);
+    host::StreamPipeline<kernels::LocalAffine> pipeline(cfg);
 
     const int producers = 4;
     const int per_producer = 5;
@@ -180,22 +181,22 @@ TEST(BatchPipeline, ConcurrentProducersAllJobsExecute)
     for (auto &t : threads)
         t.join();
 
-    std::vector<host::BatchPipeline<kernels::LocalAffine>::Result> got;
+    std::vector<host::StreamPipeline<kernels::LocalAffine>::Result> got;
     const auto stats = pipeline.drain(&got);
     EXPECT_EQ(stats.alignments, producers * per_producer);
     EXPECT_EQ(got.size(),
               static_cast<size_t>(producers * per_producer));
 }
 
-TEST(BatchPipeline, DestructionWithUndrainedWorkIsSafe)
+TEST(StreamPipelineBatch, DestructionWithUndrainedWorkIsSafe)
 {
-    std::vector<host::BatchPipeline<kernels::LocalAffine>::Job> jobs =
+    std::vector<host::StreamPipeline<kernels::LocalAffine>::Job> jobs =
         dnaJobs(16, 450);
     {
         host::BatchConfig cfg;
         cfg.npe = 8;
         cfg.nk = 2;
-        host::BatchPipeline<kernels::LocalAffine> pipeline(cfg);
+        host::StreamPipeline<kernels::LocalAffine> pipeline(cfg);
         pipeline.submit(std::move(jobs));
         // Destroyed with submitted-but-undrained work: the pool drains
         // its queue first, so shard tasks must not touch freed channels.
@@ -203,9 +204,9 @@ TEST(BatchPipeline, DestructionWithUndrainedWorkIsSafe)
     SUCCEED();
 }
 
-TEST(BatchPipeline, DrainResetsAccounting)
+TEST(StreamPipelineBatch, DrainResetsAccounting)
 {
-    host::BatchPipeline<kernels::LocalAffine> pipeline;
+    host::StreamPipeline<kernels::LocalAffine> pipeline;
     pipeline.submit(dnaJobs(8, 600));
     const auto first = pipeline.drain();
     EXPECT_EQ(first.alignments, 8);
@@ -215,14 +216,14 @@ TEST(BatchPipeline, DrainResetsAccounting)
     EXPECT_EQ(second.totalCycles, 0u);
 }
 
-TEST(BatchPipeline, StatsAccountingConsistent)
+TEST(StreamPipelineBatch, StatsAccountingConsistent)
 {
     const auto jobs = dnaJobs(16, 700);
     host::BatchConfig cfg;
     cfg.npe = 8;
     cfg.nb = 2;
     cfg.nk = 2;
-    host::BatchPipeline<kernels::LocalAffine> pipeline(cfg);
+    host::StreamPipeline<kernels::LocalAffine> pipeline(cfg);
     std::vector<uint64_t> cycles;
     const auto stats = pipeline.runAll(jobs, nullptr, &cycles);
 
@@ -247,7 +248,7 @@ TEST(BatchPipeline, StatsAccountingConsistent)
     EXPECT_GT(stats.paths.matches, 0);
 }
 
-TEST(BatchPipeline, ThroughputScalesWithChannels)
+TEST(StreamPipelineBatch, ThroughputScalesWithChannels)
 {
     const auto jobs = dnaJobs(64, 800);
     auto run = [&](int nk) {
@@ -255,7 +256,7 @@ TEST(BatchPipeline, ThroughputScalesWithChannels)
         cfg.npe = 8;
         cfg.nb = 1;
         cfg.nk = nk;
-        host::BatchPipeline<kernels::LocalAffine> pipeline(cfg);
+        host::StreamPipeline<kernels::LocalAffine> pipeline(cfg);
         return pipeline.runAll(jobs).alignsPerSec;
     };
     const double t1 = run(1);

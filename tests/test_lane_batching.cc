@@ -1,7 +1,7 @@
 /**
  * @file
  * Batch-level SIMD lane tests: the lockstep LaneAligner and the
- * BatchPipeline lane grouping must be bit-identical — results and cycle
+ * StreamPipeline lane grouping must be bit-identical — results and cycle
  * accounting — to scalar engine runs, at group sizes around the lane
  * width (1, lane-1, lane, lane+1) and with mixed/degenerate lengths.
  */
@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hh"
-#include "host/batch_pipeline.hh"
+#include "host/stream_pipeline.hh"
 #include "kernels/all.hh"
 #include "systolic/lane_engine.hh"
 
@@ -212,11 +212,11 @@ TEST(LaneAligner, RejectsOversizedGroup)
     EXPECT_THROW(lanes.alignLanes(group), std::invalid_argument);
 }
 
-TEST(BatchPipeline, LaneWidthIsResultAndAccountingTransparent)
+TEST(StreamPipelineBatch, LaneWidthIsResultAndAccountingTransparent)
 {
     seq::Rng rng(606);
     using K = kernels::LocalAffine;
-    using Pipeline = host::BatchPipeline<K>;
+    using Pipeline = host::StreamPipeline<K>;
 
     for (const int batch_size : {1, 7, 8, 9, 31}) {
         std::vector<typename Pipeline::Job> jobs;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for host::percentile (nearest-rank, in-place) and the
- * TwoClassLatencyProbe.
+ * ClassLatencyProbe.
  *
  * percentile() used to copy + fully sort per call and, worse, computed
  * the rank as p * (n - 1) truncated — a plain index interpolation that
@@ -137,19 +137,23 @@ TEST(Percentile, RvalueOverloadAcceptsTemporaries)
     EXPECT_EQ(percentile(std::vector<double>{3, 1, 2}, 1.0), 3.0);
 }
 
-TEST(TwoClassLatencyProbe, AccumulatesCumulativeCyclesPerClass)
+TEST(ClassLatencyProbe, AccumulatesCumulativeCyclesPerClass)
 {
     // 100 MHz: 1e8 cycles/second. Latency of each completion is the
     // channel's *cumulative* busy cycles at that instant.
-    dphls::host::TwoClassLatencyProbe probe(100.0);
-    probe.record(1'000'000, /*interactive=*/true);  // 10 ms cumulative
-    probe.record(1'000'000, /*interactive=*/false); // 20 ms cumulative
-    probe.record(2'000'000, /*interactive=*/true);  // 40 ms cumulative
-    ASSERT_EQ(probe.interactive().size(), 2u);
-    ASSERT_EQ(probe.bulk().size(), 1u);
-    EXPECT_DOUBLE_EQ(probe.interactive()[0], 0.01);
-    EXPECT_DOUBLE_EQ(probe.bulk()[0], 0.02);
-    EXPECT_DOUBLE_EQ(probe.interactive()[1], 0.04);
+    using dphls::host::ClassLatencyProbe;
+    ClassLatencyProbe probe(100.0);
+    probe.record(1'000'000, ClassLatencyProbe::Interactive); // 10 ms
+    probe.record(1'000'000, ClassLatencyProbe::Bulk);        // 20 ms
+    probe.record(2'000'000, ClassLatencyProbe::Interactive); // 40 ms
+    const auto &interactive = probe.of(ClassLatencyProbe::Interactive);
+    const auto &bulk = probe.of(ClassLatencyProbe::Bulk);
+    ASSERT_EQ(interactive.size(), 2u);
+    ASSERT_EQ(bulk.size(), 1u);
+    EXPECT_TRUE(probe.of(ClassLatencyProbe::Realtime).empty());
+    EXPECT_DOUBLE_EQ(interactive[0], 0.01);
+    EXPECT_DOUBLE_EQ(bulk[0], 0.02);
+    EXPECT_DOUBLE_EQ(interactive[1], 0.04);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Result-cache tests: hash stability and sensitivity, LRU behavior of
- * the sharded cache, and end-to-end transparency inside BatchPipeline
+ * the sharded cache, and end-to-end transparency inside StreamPipeline
  * (repeated pairs skip the engine but results and cycle accounting stay
  * bit-identical to an uncached run).
  */
@@ -10,7 +10,7 @@
 
 #include "helpers.hh"
 #include "host/backend.hh"
-#include "host/batch_pipeline.hh"
+#include "host/stream_pipeline.hh"
 #include "host/result_cache.hh"
 #include "kernels/all.hh"
 #include "systolic/engine.hh"
@@ -169,11 +169,11 @@ TEST(ShardedResultCache, ZeroCapacityDisables)
     EXPECT_EQ(cache.counters().hits + cache.counters().misses, 0u);
 }
 
-TEST(BatchPipeline, CacheIsResultAndAccountingTransparent)
+TEST(StreamPipelineBatch, CacheIsResultAndAccountingTransparent)
 {
     seq::Rng rng(42);
     using K = kernels::LocalAffine;
-    using Pipeline = host::BatchPipeline<K>;
+    using Pipeline = host::StreamPipeline<K>;
 
     // 8 distinct pairs, each submitted 4 times.
     std::vector<typename Pipeline::Job> jobs;
@@ -218,11 +218,11 @@ TEST(BatchPipeline, CacheIsResultAndAccountingTransparent)
     EXPECT_GE(counters.hits, static_cast<uint64_t>(jobs.size()) - 2 * 8);
 }
 
-TEST(BatchPipeline, CacheComposesWithLanes)
+TEST(StreamPipelineBatch, CacheComposesWithLanes)
 {
     seq::Rng rng(77);
     using K = kernels::GlobalAffine;
-    using Pipeline = host::BatchPipeline<K>;
+    using Pipeline = host::StreamPipeline<K>;
 
     std::vector<typename Pipeline::Job> jobs;
     for (int rep = 0; rep < 3; rep++) {

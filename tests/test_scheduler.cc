@@ -1,6 +1,6 @@
 /**
  * @file
- * Host thread-pool tests.
+ * parallelFor tests.
  */
 
 #include <gtest/gtest.h>
@@ -12,39 +12,6 @@
 #include "host/scheduler.hh"
 
 using namespace dphls::host;
-
-TEST(ThreadPool, ExecutesAllTasks)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; i++)
-        pool.submit([&count] { count++; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count++; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { count++; });
-    pool.submit([&count] { count++; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, ClampsThreadCount)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.threadCount(), 1);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count++; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
 
 TEST(ParallelFor, CoversEachIndexExactlyOnce)
 {

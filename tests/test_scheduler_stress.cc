@@ -1,12 +1,8 @@
 /**
  * @file
- * ThreadPool stress tests guarding the StreamPipeline's async paths:
- * concurrent submit() from multiple producers, wait() reentrancy
- * (including wait() racing wait()), tasks that submit follow-up tasks,
- * destruction with work still queued, and — at the pipeline level —
- * submissions racing completion waits and drains (the old
- * BatchPipeline's documented accounting race, now fixed by per-ticket
- * accounting).
+ * StreamPipeline stress test: concurrent producers' submissions racing
+ * completion waits and drains (the old barrier-epoch pipeline's
+ * documented accounting race, fixed by per-ticket accounting).
  */
 
 #include <gtest/gtest.h>
@@ -16,166 +12,11 @@
 #include <thread>
 #include <vector>
 
-#include "host/scheduler.hh"
 #include "host/stream_pipeline.hh"
 #include "kernels/local_affine.hh"
 #include "seq/read_simulator.hh"
 
 using namespace dphls::host;
-
-TEST(ThreadPoolStress, ManyProducersManyTasks)
-{
-    for (int round = 0; round < 5; round++) {
-        ThreadPool pool(4);
-        std::atomic<int> count{0};
-        const int producers = 8;
-        const int per_producer = 200;
-        std::vector<std::thread> threads;
-        for (int p = 0; p < producers; p++) {
-            threads.emplace_back([&] {
-                for (int i = 0; i < per_producer; i++)
-                    pool.submit([&count] { count++; });
-            });
-        }
-        for (auto &t : threads)
-            t.join();
-        pool.wait();
-        EXPECT_EQ(count.load(), producers * per_producer) << round;
-    }
-}
-
-TEST(ThreadPoolStress, WaitFromMultipleThreads)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 500; i++) {
-        pool.submit([&count] {
-            std::this_thread::sleep_for(std::chrono::microseconds(10));
-            count++;
-        });
-    }
-    // Several threads wait() on the same pool concurrently; each must
-    // observe all 500 tasks complete.
-    std::vector<std::thread> waiters;
-    for (int w = 0; w < 4; w++) {
-        waiters.emplace_back([&] {
-            pool.wait();
-            EXPECT_EQ(count.load(), 500);
-        });
-    }
-    for (auto &t : waiters)
-        t.join();
-}
-
-TEST(ThreadPoolStress, WaitIsReentrantAfterIdle)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 50; round++) {
-        pool.submit([&count] { count++; });
-        pool.wait();
-        EXPECT_EQ(count.load(), round + 1);
-        pool.wait(); // idle wait() must return immediately
-    }
-}
-
-TEST(ThreadPoolStress, TasksSubmittingTasks)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    // Each parent enqueues its child before finishing, so wait() cannot
-    // observe an empty queue with pending work.
-    for (int i = 0; i < 100; i++) {
-        pool.submit([&pool, &count] {
-            pool.submit([&count] { count++; });
-            count++;
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPoolStress, DestructionDrainsQueuedWork)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 300; i++) {
-            pool.submit([&count] {
-                std::this_thread::sleep_for(std::chrono::microseconds(5));
-                count++;
-            });
-        }
-        // Destructor runs with most of the queue still pending; queued
-        // work must complete, not be dropped.
-    }
-    EXPECT_EQ(count.load(), 300);
-}
-
-TEST(ThreadPoolStress, PopOrderIsPriorityThenDeadlineThenFifo)
-{
-    ThreadPool pool(1);
-    // Gate the single worker so every task below is queued before any
-    // of them can run; the drain order is then pure pop order. The
-    // submissions must wait until the worker has actually entered the
-    // gate task — otherwise a high-priority task submitted early could
-    // be popped ahead of the gate itself.
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool go = false;
-    std::atomic<bool> gate_entered{false};
-    pool.submit([&] {
-        gate_entered = true;
-        std::unique_lock lock(mutex);
-        cv.wait(lock, [&] { return go; });
-    });
-    while (!gate_entered.load())
-        std::this_thread::yield();
-
-    std::vector<int> order;
-    std::mutex order_mutex;
-    const auto record = [&](int id) {
-        return [&order, &order_mutex, id] {
-            std::lock_guard lock(order_mutex);
-            order.push_back(id);
-        };
-    };
-    pool.submit(record(0));                        // class 0, FIFO first
-    pool.submit(record(1), {.priority = 5});       // highest class
-    pool.submit(record(2), {.priority = 5, .deadlineSeconds = 10.0});
-    pool.submit(record(3), {.priority = 5, .deadlineSeconds = 2.0});
-    pool.submit(record(4), {.priority = 1});
-    pool.submit(record(5));                        // class 0, FIFO second
-
-    {
-        std::lock_guard lock(mutex);
-        go = true;
-        cv.notify_all();
-    }
-    pool.wait();
-
-    // Priority desc, then deadline asc (finite before infinite), then
-    // submission order.
-    EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 4, 0, 5}));
-}
-
-TEST(ThreadPoolStress, SubmitRacingWait)
-{
-    for (int round = 0; round < 10; round++) {
-        ThreadPool pool(3);
-        std::atomic<int> count{0};
-        std::thread producer([&] {
-            for (int i = 0; i < 100; i++)
-                pool.submit([&count] { count++; });
-        });
-        // wait() may legitimately return while the producer is still
-        // submitting; it must never deadlock or crash.
-        pool.wait();
-        producer.join();
-        pool.wait();
-        EXPECT_EQ(count.load(), 100) << round;
-    }
-}
 
 namespace {
 
@@ -200,7 +41,7 @@ stressJobs(int n, uint64_t seed)
 } // namespace
 
 /**
- * The old BatchPipeline documented that a submit() overlapping a
+ * The old barrier-epoch pipeline documented that a submit() overlapping a
  * drain() races the epoch accounting. Accounting is now per-ticket:
  * producers submit and wait on their own tickets while a consumer
  * thread drains concurrently, and every job must land in exactly one

@@ -492,6 +492,7 @@ TEST(StreamPipeline, ThreadCountIsDecoupledFromChannels)
 TEST(StreamPipeline, DestructionWithInFlightTicketsCompletesThem)
 {
     std::vector<Pipeline::Ticket> tickets;
+    Pipeline::Ticket follow_up;
     {
         host::BatchConfig cfg;
         cfg.npe = 8;
@@ -502,9 +503,20 @@ TEST(StreamPipeline, DestructionWithInFlightTicketsCompletesThem)
             tickets.push_back(pipeline.submit(
                 dnaJobs(5, 5000 + static_cast<uint64_t>(b))));
         }
-        // Pipeline destroyed with tickets in flight: its pool drains
+        // The last ticket is still queued (paused) when the destructor
+        // starts; its completion callback then submits a follow-up
+        // ticket mid-destruction, which must run as well.
+        pipeline.pause();
+        tickets.push_back(pipeline.submit(
+            dnaJobs(5, 5006), host::TicketOptions{},
+            [&pipeline, &follow_up](host::BatchTicket<K> &) {
+                follow_up = pipeline.submit(dnaJobs(5, 5007));
+            }));
+        // Pipeline destroyed with tickets in flight: its workers drain
         // every shard first, so held tickets finish rather than hang.
     }
+    ASSERT_TRUE(follow_up);
+    tickets.push_back(follow_up);
     for (const auto &t : tickets) {
         EXPECT_TRUE(t->done());
         EXPECT_EQ(t->results().size(), 5u);
@@ -774,18 +786,15 @@ TEST(StreamPipeline, CancelWhilePausedDropsAllShardsAndCompletes)
     EXPECT_EQ(keep_stats.cancelled, 0);
 }
 
-TEST(StreamPipeline, CancelLeavesInFlightShardsRunningToCompletion)
+TEST(StreamPipeline, CancelFromCallbackDropsQueuedShards)
 {
-    // Deterministic mixed cancel, one channel + one worker: resume()
-    // pops the victim's CPU shard synchronously (the CPU slot is
-    // free), so once the cancelling callback — gated on resume()
-    // having returned — fires, that shard is in flight. Only a CPU
-    // shard, which has no job boundary to stop at, still runs to
-    // completion after a cancel (an in-flight device shard would stop
-    // at its next job boundary). The victim's device shard is still
-    // queued behind blocker2 at that moment, so the cancel drops it —
-    // leaving a genuinely partial result set: CPU job computed, device
-    // jobs cancelled.
+    // One channel + one worker, CPU fallback on. blocker1's completion
+    // callback cancels the victim. A worker takes a shard only when it
+    // starts it, so both victim shards — device and CPU — are still
+    // queued at that moment and are dropped whole, while blocker2,
+    // queued next to them, runs untouched. That a CPU shard already
+    // started runs to completion is the backend's decision
+    // (CpuBaselineBackend.RunsEveryJobDespiteCancelFlag).
     host::BatchConfig cfg;
     cfg.npe = 8;
     cfg.nk = 1;
@@ -798,14 +807,9 @@ TEST(StreamPipeline, CancelLeavesInFlightShardsRunningToCompletion)
 
     pipeline.pause();
     Pipeline::Ticket victim;
-    std::promise<void> resumed;
-    std::shared_future<void> resumed_future = resumed.get_future().share();
     auto blocker1 = pipeline.submit(
         dnaJobs(3, 7300), host::TicketOptions{},
-        [&victim, resumed_future](host::BatchTicket<K> &) {
-            resumed_future.wait();
-            victim->cancel();
-        });
+        [&victim](host::BatchTicket<K> &) { victim->cancel(); });
     auto blocker2 = pipeline.submit(dnaJobs(3, 7400));
 
     // Victim: 4 device jobs + 1 oversized job that routes to the CPU.
@@ -815,34 +819,65 @@ TEST(StreamPipeline, CancelLeavesInFlightShardsRunningToCompletion)
     big.query = seq::randomDna(200, rng);
     big.reference = seq::mutateDna(big.query, 0.1, 0.05, rng);
     jobs.push_back(std::move(big));
-    const Pipeline::Job cpu_job = jobs.back(); // copy for the gold run
     victim = pipeline.submit(std::move(jobs));
 
     pipeline.resume();
-    resumed.set_value(); // release the cancelling callback
     victim->wait();
     blocker2->wait();
 
     EXPECT_TRUE(victim->cancelled());
     const auto &stats = victim->stats();
-    // The CPU shard was in flight when the cancel hit: it completed.
-    // The device shard was still queued behind blocker2: dropped.
-    EXPECT_EQ(stats.alignments, 1);
-    EXPECT_EQ(stats.cancelled, 4);
-    for (size_t i = 0; i < 4; i++) {
+    EXPECT_EQ(stats.alignments, 0);
+    EXPECT_EQ(stats.cancelled, 5);
+    EXPECT_EQ(stats.channels[0].cancelled, 4);
+    EXPECT_EQ(stats.cpu.cancelled, 1);
+    int section_cancelled = 0;
+    for (const auto &b : stats.backends)
+        section_cancelled += b.cancelled;
+    EXPECT_EQ(section_cancelled, 5);
+    for (size_t i = 0; i < victim->jobs().size(); i++) {
         EXPECT_EQ(victim->completed()[i], 0u) << i;
         EXPECT_EQ(victim->cycles()[i], 0u) << i;
+        EXPECT_TRUE(victim->results()[i].ops.empty()) << i;
     }
-    EXPECT_EQ(victim->completed()[4], 1u);
-    EXPECT_GT(victim->cycles()[4], 0u);
-    ref::MatrixAligner<K> gold(K::defaultParams(), cfg.bandWidth);
-    const auto want = gold.align(cpu_job.query, cpu_job.reference);
-    EXPECT_EQ(want.score, victim->results()[4].score);
-    EXPECT_EQ(want.ops, victim->results()[4].ops);
 
     // Blockers are untouched by the neighbor's cancellation.
     EXPECT_EQ(blocker1->stats().alignments, 3);
     EXPECT_EQ(blocker2->stats().alignments, 3);
+    EXPECT_EQ(blocker2->stats().cancelled, 0);
+}
+
+TEST(CpuBaselineBackend, RunsEveryJobDespiteCancelFlag)
+{
+    // A CPU shard has no job boundary to stop at: once a worker starts
+    // it, the ticket's cancel() no longer matters. Run the backend with
+    // the flag already set; every job must still be computed.
+    host::BatchConfig cfg;
+    host::CpuBaselineBackend<K> cpu(K::defaultParams(), cfg.bandWidth,
+                                    cfg.cpuEquivalentMhz, 2,
+                                    /*skip_traceback=*/false, 1e9);
+    const auto jobs = dnaJobs(5, 7500);
+    const std::vector<int> indices = {0, 1, 2, 3, 4};
+    std::vector<Pipeline::Result> results(jobs.size());
+    std::vector<uint64_t> cycles(jobs.size(), 0);
+    host::ChannelStats acct;
+    const std::atomic<bool> cancelled{true};
+    host::StageRunControl ctl;
+    ctl.cancelled = &cancelled;
+    cpu.run(jobs, indices, results.data(), cycles.data(), acct, ctl);
+
+    ASSERT_EQ(ctl.done.size(), jobs.size());
+    EXPECT_FALSE(ctl.preempted);
+    EXPECT_EQ(acct.alignments, 5);
+    EXPECT_EQ(acct.cancelled, 0);
+    ref::MatrixAligner<K> gold(K::defaultParams(), cfg.bandWidth);
+    for (size_t i = 0; i < jobs.size(); i++) {
+        EXPECT_EQ(ctl.done[i], 1u) << i;
+        EXPECT_GT(cycles[i], 0u) << i;
+        const auto want = gold.align(jobs[i].query, jobs[i].reference);
+        EXPECT_EQ(want.score, results[i].score) << i;
+        EXPECT_EQ(want.ops, results[i].ops) << i;
+    }
 }
 
 TEST(StreamPipeline, DestructorWithCancelledUnwaitedTicketNoLeakNoDeadlock)
@@ -883,41 +918,95 @@ TEST(StreamPipeline, DestructorWithCancelledUnwaitedTicketNoLeakNoDeadlock)
 
 TEST(StreamPipeline, PausedBacklogReleasesInPriorityThenDeadlineOrder)
 {
+    // One worker: pure scheduler order. With one channel that is one
+    // slot's queue; with three, tickets round-robin over the channels
+    // and the worker must still pick the best head across all slots.
+    for (const int nk : {1, 3}) {
+        host::BatchConfig cfg;
+        cfg.npe = 8;
+        cfg.nk = nk;
+        cfg.threads = 1;
+        Pipeline pipeline(cfg);
+
+        std::mutex mutex;
+        std::vector<char> order;
+        const auto tag = [&](char c) {
+            return [&mutex, &order, c](host::BatchTicket<K> &) {
+                std::lock_guard lock(mutex);
+                order.push_back(c);
+            };
+        };
+
+        pipeline.pause();
+        host::TicketOptions prio5_late =
+            host::TicketOptions::afterMs(5, 500);
+        host::TicketOptions prio5_soon =
+            host::TicketOptions::afterMs(5, 250);
+        host::TicketOptions prio1;
+        prio1.priority = 1;
+        host::TicketOptions prio3;
+        prio3.priority = 3;
+        // One-job tickets: on three channels a..f land on channels
+        // 0, 1, 2, 0, 1, 2, so every order decision crosses slots.
+        pipeline.submit(dnaJobs(1, 8000), tag('a')); // class 0
+        pipeline.submit(dnaJobs(1, 8001), prio5_late, tag('b'));
+        pipeline.submit(dnaJobs(1, 8002), prio1, tag('c'));
+        pipeline.submit(dnaJobs(1, 8003), prio5_soon, tag('d'));
+        pipeline.submit(dnaJobs(1, 8004), prio3, tag('e'));
+        pipeline.submit(dnaJobs(1, 8005), tag('f')); // class 0, FIFO
+        pipeline.resume();
+        pipeline.drain();
+
+        // Highest priority first; equal priorities by earliest deadline;
+        // no-deadline class-0 tickets in submission order.
+        ASSERT_EQ(order.size(), 6u) << nk;
+        EXPECT_EQ(std::string(order.begin(), order.end()), "dbecaf")
+            << nk;
+    }
+}
+
+TEST(StreamPipeline, LateHighPriorityTicketOvertakesWhileCallbackHoldsWorker)
+{
+    // One channel, one worker. While X's completion callback holds the
+    // worker, a bulk ticket b and then a priority-10 ticket I arrive.
+    // Neither has started, so the freed worker must take I first: a
+    // shard leaves its queue only when a worker starts it.
     host::BatchConfig cfg;
     cfg.npe = 8;
     cfg.nk = 1;
-    cfg.threads = 1; // one slot, one worker: pure scheduler order
+    cfg.threads = 1;
     Pipeline pipeline(cfg);
 
     std::mutex mutex;
     std::vector<char> order;
-    const auto tag = [&](char c) {
-        return [&mutex, &order, c](host::BatchTicket<K> &) {
-            std::lock_guard lock(mutex);
-            order.push_back(c);
-        };
+    const auto record = [&](char c) {
+        std::lock_guard lock(mutex);
+        order.push_back(c);
     };
+    std::promise<void> entered, release;
+    std::shared_future<void> released = release.get_future().share();
+    auto x = pipeline.submit(
+        dnaJobs(2, 8100), host::TicketOptions{},
+        [&, released](host::BatchTicket<K> &) {
+            record('X');
+            entered.set_value();
+            released.wait();
+        });
+    entered.get_future().wait();
 
-    pipeline.pause();
-    host::TicketOptions prio5_late = host::TicketOptions::afterMs(5, 500);
-    host::TicketOptions prio5_soon = host::TicketOptions::afterMs(5, 250);
-    host::TicketOptions prio1;
-    prio1.priority = 1;
-    host::TicketOptions prio3;
-    prio3.priority = 3;
-    auto a = pipeline.submit(dnaJobs(2, 8000), tag('a')); // class 0
-    auto b = pipeline.submit(dnaJobs(2, 8001), prio5_late, tag('b'));
-    auto c = pipeline.submit(dnaJobs(2, 8002), prio1, tag('c'));
-    auto d = pipeline.submit(dnaJobs(2, 8003), prio5_soon, tag('d'));
-    auto e = pipeline.submit(dnaJobs(2, 8004), prio3, tag('e'));
-    auto f = pipeline.submit(dnaJobs(2, 8005), tag('f')); // class 0, FIFO
-    pipeline.resume();
+    auto b = pipeline.submit(dnaJobs(2, 8101), host::TicketOptions{},
+                             [&](host::BatchTicket<K> &) { record('b'); });
+    host::TicketOptions urgent;
+    urgent.priority = 10;
+    auto i = pipeline.submit(dnaJobs(2, 8102), urgent,
+                             [&](host::BatchTicket<K> &) { record('I'); });
+    release.set_value();
     pipeline.drain();
 
-    // Highest priority first; equal priorities by earliest deadline;
-    // no-deadline class-0 tickets in submission order.
-    ASSERT_EQ(order.size(), 6u);
-    EXPECT_EQ(std::string(order.begin(), order.end()), "dbecaf");
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(std::string(order.begin(), order.end()), "XIb");
+    EXPECT_EQ(b->stats().alignments, 2);
+    EXPECT_EQ(i->stats().alignments, 2);
 }
 
 TEST(StreamPipeline, DeadlineMissesAreCountedPerBackend)

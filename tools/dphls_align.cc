@@ -28,11 +28,10 @@
  * and --deadline-ms D stamps each ticket with a deadline D ms after
  * its submission — completions past the deadline are reported in the
  * batch summary, and cost-model routing prefers backends whose
- * estimated completion beats the deadline. --two-class-demo runs the
- * input once as a mixed interactive/bulk workload under FIFO and
- * under priority scheduling and reports the modeled p50/p99 ticket
- * latency of each class, making the scheduler's effect visible end to
- * end from the command line.
+ * estimated completion beats the deadline. --workload mixed runs a
+ * seeded three-class workload and reports each class's modeled p50/p99
+ * ticket latency, making the scheduler's effect visible end to end
+ * from the command line.
  *
  * Usage:
  *   dphls_align --kernel <name> --query q.fa --reference r.fa
@@ -41,7 +40,6 @@
  *               [--dispatch threshold|cost] [--gpu-model]
  *               [--cpu-fallback] [--cpu-floor L] [--no-cache]
  *               [--no-traceback] [--priority P] [--deadline-ms D]
- *               [--two-class-demo]
  *               [--isa-tier auto|scalar|sse2|avx2|avx512]
  *               [--stage-pipeline] [--stage-fifo-depth N] [--preempt]
  *
@@ -109,7 +107,6 @@ struct Options
     bool traceback = true;
     int priority = 0;          //!< scheduling class of every ticket
     double deadlineMs = 0;     //!< per-ticket deadline (0 = none)
-    bool twoClassDemo = false; //!< run the priority-scheduling demo
     sim::IsaTier isaTier = sim::IsaTier::Auto; //!< --isa-tier
     bool stagePipeline = false; //!< overlap fill and traceback stages
     int stageFifoDepth = 4;     //!< fill -> traceback FIFO capacity
@@ -132,8 +129,7 @@ usage()
                  "[--gpu-model] [--cpu-fallback]\n"
                  "                   [--cpu-floor L] [--no-cache] "
                  "[--no-traceback]\n"
-                 "                   [--priority P] [--deadline-ms D] "
-                 "[--two-class-demo]\n"
+                 "                   [--priority P] [--deadline-ms D]\n"
                  "                   [--isa-tier "
                  "auto|scalar|sse2|avx2|avx512]\n"
                  "                   [--stage-pipeline] "
@@ -210,144 +206,11 @@ ticketOptions(const Options &opt)
     return topt;
 }
 
-/**
- * Two-class scheduling demo: the input pairs are split into bulk
- * tickets (every --chunk pairs, the re-alignment batch class) and
- * interactive tickets (one pair in eight, submitted alone), interleaved
- * in submission order. The same workload runs twice on a one-channel,
- * one-thread pipeline — once with every ticket in class 0 (FIFO) and
- * once with the interactive tickets in a higher priority class — and
- * the modeled completion latency of each ticket (cumulative channel
- * busy cycles at its completion, at the kernel's fmax) is reported as
- * per-class p50/p99. Deterministic: all tickets are queued while the
- * pipeline is paused, and the accounting is cycle-domain.
- */
-template <typename K, typename SeqT>
-int
-runTwoClassDemo(const Options &opt,
-                SeqT (*decode)(const seq::FastaRecord &))
-{
-    using Pipeline = host::StreamPipeline<K>;
-    using Job = typename Pipeline::Job;
-
-    CyclingFastaSource<SeqT> queries(opt.queryPath, decode);
-    CyclingFastaSource<SeqT> references(opt.referencePath, decode);
-    std::vector<Job> jobs;
-    for (;;) {
-        Job job;
-        if (!queries.next(job.query, references.exhausted()))
-            break;
-        if (!references.next(job.reference, queries.exhausted()))
-            break;
-        jobs.push_back(std::move(job));
-    }
-    if (jobs.empty()) {
-        std::fprintf(stderr, "two-class demo: no pairs in input\n");
-        return 1;
-    }
-
-    const double fmax = model::kernelFrequencyMhz<K>();
-    const size_t bulk_chunk =
-        std::max<size_t>(1, opt.chunk > 0 ? static_cast<size_t>(opt.chunk)
-                                          : 64);
-    const auto run = [&](int interactive_priority) {
-        host::BatchConfig cfg;
-        cfg.npe = opt.npe;
-        cfg.nb = opt.nb;
-        cfg.nk = 1; // one channel: the contended-queue case
-        cfg.threads = 1;
-        cfg.fmaxMhz = fmax;
-        cfg.bandWidth = opt.band;
-        cfg.maxQueryLength = opt.maxLen;
-        cfg.maxReferenceLength = opt.maxLen;
-        cfg.skipTraceback = !opt.traceback;
-        cfg.hostOverheadCycles = 0;
-        cfg.collectPathStats = false;
-        cfg.cacheEntries = 0;
-        Pipeline pipeline(cfg);
-
-        auto probe = std::make_shared<host::TwoClassLatencyProbe>(fmax);
-        std::vector<typename Pipeline::Ticket> tickets;
-        const auto submitClass = [&](std::vector<Job> batch,
-                                     bool interactive) {
-            host::TicketOptions topt;
-            topt.priority = interactive ? interactive_priority : 0;
-            topt.tag = interactive ? "interactive" : "bulk";
-            // Deadlines only in the prioritized leg: a deadline also
-            // reorders equal-priority dispatch (EDF tiebreak), so
-            // stamping the baseline leg would corrupt its pure-FIFO
-            // semantics and flatten the reported speedup.
-            if (interactive && interactive_priority > 0 &&
-                opt.deadlineMs > 0) {
-                topt = host::TicketOptions::afterMs(
-                    interactive_priority, opt.deadlineMs, "interactive");
-            }
-            tickets.push_back(pipeline.submit(
-                std::move(batch), std::move(topt),
-                [probe, interactive](host::BatchTicket<K> &t) {
-                    probe->record(t.stats().makespanCycles, interactive);
-                }));
-        };
-
-        // Queue the whole mixed backlog before dispatch starts, so the
-        // measured order is the scheduler's, not the submission race's.
-        pipeline.pause();
-        std::vector<Job> bulk;
-        for (size_t i = 0; i < jobs.size(); i++) {
-            if (i % 8 == 0) {
-                submitClass({jobs[i]}, true);
-            } else {
-                bulk.push_back(jobs[i]);
-                if (bulk.size() >= bulk_chunk) {
-                    submitClass(std::move(bulk), false);
-                    bulk.clear();
-                }
-            }
-        }
-        if (!bulk.empty())
-            submitClass(std::move(bulk), false);
-        pipeline.resume();
-        for (const auto &t : tickets)
-            t->wait();
-        pipeline.drain();
-        return probe;
-    };
-
-    const auto fifo = run(0);
-    const auto prio = run(10);
-    // percentile() selects in place (partial reorder), so copy each
-    // class once instead of copying + fully sorting on every call.
-    std::vector<double> fifo_int = fifo->interactive();
-    std::vector<double> fifo_bulk = fifo->bulk();
-    std::vector<double> prio_int = prio->interactive();
-    std::vector<double> prio_bulk = prio->bulk();
-    const double fifo_p99 = host::percentile(fifo_int, 0.99);
-    const double prio_p99 = host::percentile(prio_int, 0.99);
-    std::printf("# two-class demo: %zu interactive + %zu bulk tickets "
-                "(%zu pairs), kernel %s @ %.1f MHz, 1 channel\n",
-                fifo_int.size(), fifo_bulk.size(), jobs.size(), K::name,
-                fmax);
-    std::printf("#   fifo:     interactive p50 %.3f ms, p99 %.3f ms; "
-                "bulk p99 %.3f ms\n",
-                1e3 * host::percentile(fifo_int, 0.5), 1e3 * fifo_p99,
-                1e3 * host::percentile(fifo_bulk, 0.99));
-    std::printf("#   priority: interactive p50 %.3f ms, p99 %.3f ms; "
-                "bulk p99 %.3f ms\n",
-                1e3 * host::percentile(prio_int, 0.5), 1e3 * prio_p99,
-                1e3 * host::percentile(prio_bulk, 0.99));
-    std::printf("#   interactive p99 speedup: %.2fx\n",
-                prio_p99 > 0 ? fifo_p99 / prio_p99 : 0.0);
-    return 0;
-}
-
 template <typename K, typename SeqT>
 int
 runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
 {
     using Pipeline = host::StreamPipeline<K>;
-
-    if (opt.twoClassDemo)
-        return runTwoClassDemo<K>(opt, decode);
 
     host::BatchConfig cfg;
     cfg.npe = opt.npe;
@@ -763,8 +626,6 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-        } else if (a == "--two-class-demo") {
-            opt.twoClassDemo = true;
         } else if (a == "--isa-tier") {
             if (!sim::parseIsaTier(next(), opt.isaTier)) {
                 usage();

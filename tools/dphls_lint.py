@@ -9,10 +9,10 @@ Rules (all single-file, stdlib-only, line/scope-based heuristics):
                            waiter woken between unlock and notify may
                            destroy the CV mid-broadcast).
   naked-thread             std::thread constructed in src/ outside
-                           src/host/scheduler.* — worker threads belong
-                           to the pool/session abstractions. Top-level
-                           binaries (tools/, bench/, tests/) may own
-                           threads.
+                           src/host/scheduler.* — threads belong to
+                           host::WorkerThread or host::parallelFor.
+                           Top-level binaries (tools/, bench/, tests/)
+                           may own threads.
   nondeterministic-random  rand()/std::random_device in deterministic
                            paths (src/, tools/): reproducibility
                            requires seeded engines.
@@ -217,8 +217,9 @@ def check_naked_thread(scanner, violations, relpath):
         if m:
             scanner.report(
                 violations, idx + 1, "naked-thread",
-                "std::%s in library code; route work through "
-                "host::ThreadPool (src/host/scheduler.hh)" % m.group(1))
+                "std::%s in library code; run it on a "
+                "host::WorkerThread or use host::parallelFor "
+                "(src/host/scheduler.hh)" % m.group(1))
     return violations
 
 

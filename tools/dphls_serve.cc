@@ -148,6 +148,43 @@ struct Connection
     std::mutex writeMutex; //!< one frame at a time per connection
 };
 
+/** Serve one connection's frames until the client leaves or drains. */
+template <typename K>
+void
+serveSession(const std::shared_ptr<Connection> &conn,
+             serve::AlignService<K> &service, serve::UnixListener &listener)
+{
+    auto sink = [conn](serve::MsgType type, uint64_t rid,
+                       std::vector<uint8_t> payload) {
+        std::lock_guard<std::mutex> lk(conn->writeMutex);
+        serve::writeFrame(conn->fd.get(), type, rid, payload);
+    };
+    serve::Frame frame;
+    std::string err;
+    while (serve::readFrame(conn->fd.get(), frame, &err)) {
+        service.handleFrame(frame, sink);
+        if (service.draining()) {
+            // ShutdownOk is on the wire; stop accepting.
+            g_stop.store(true, std::memory_order_relaxed);
+            listener.close();
+            return;
+        }
+    }
+    if (!err.empty()) {
+        // Malformed framing: answer once, then drop the session (the
+        // stream offset is unrecoverable).
+        sink(serve::MsgType::Error, 0,
+             serve::encodeReject({serve::RejectReason::Malformed, err}));
+    }
+}
+
+/** A session thread and the flag it raises once it is done. */
+struct Session
+{
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> finished;
+};
+
 template <typename K>
 int
 runServe(const Options &opt)
@@ -202,41 +239,32 @@ runServe(const Options &opt)
                 opt.socketPath.c_str());
     std::fflush(stdout);
 
-    std::vector<std::thread> sessions;
+    std::vector<Session> sessions;
     while (!g_stop.load(std::memory_order_relaxed)) {
         serve::Fd conn = listener.accept();
         if (!conn.valid())
             break;
-        auto shared = std::make_shared<Connection>(std::move(conn));
-        sessions.emplace_back([shared, &service, &listener] {
-            auto sink = [shared](serve::MsgType type, uint64_t rid,
-                                 std::vector<uint8_t> payload) {
-                std::lock_guard<std::mutex> lk(shared->writeMutex);
-                serve::writeFrame(shared->fd.get(), type, rid, payload);
-            };
-            serve::Frame frame;
-            std::string err;
-            while (serve::readFrame(shared->fd.get(), frame, &err)) {
-                service.handleFrame(frame, sink);
-                if (service.draining()) {
-                    // ShutdownOk is on the wire; stop accepting.
-                    g_stop.store(true, std::memory_order_relaxed);
-                    listener.close();
-                    return;
-                }
-            }
-            if (!err.empty()) {
-                // Malformed framing: answer once, then drop the
-                // session (the stream offset is unrecoverable).
-                sink(serve::MsgType::Error, 0,
-                     serve::encodeReject(
-                         {serve::RejectReason::Malformed, err}));
-            }
+        // Reap the sessions whose client has gone: a finished thread
+        // keeps its stack mapped until it is joined.
+        for (auto &s : sessions) {
+            if (s.finished->load(std::memory_order_acquire))
+                s.thread.join();
+        }
+        std::erase_if(sessions, [](const Session &s) {
+            return !s.thread.joinable();
         });
+        auto shared = std::make_shared<Connection>(std::move(conn));
+        auto finished = std::make_shared<std::atomic<bool>>(false);
+        sessions.push_back(
+            {std::thread([shared, finished, &service, &listener] {
+                 serveSession(shared, service, listener);
+                 finished->store(true, std::memory_order_release);
+             }),
+             finished});
     }
     listener.close();
-    for (auto &t : sessions)
-        t.join();
+    for (auto &s : sessions)
+        s.thread.join();
     const serve::ServeStats stats = service.snapshot();
     std::printf("dphls_serve: served %llu request(s) "
                 "(%llu rejected: %llu deadline, %llu quota, "
